@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -101,18 +102,31 @@ class VectorCache:
 
     Values are stored as little-endian float32, so a cache miss returns the
     float32-rounded vector too; cold and warm runs then agree bit for bit.
+    A last line torn by a crash mid-write (no newline, or not decodable) is
+    ignored, and cut off before the next entry is appended.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._mem = {}
+        self._torn = None  # (offset of an ignored torn last line, file size when read)
         if self.path.exists():
-            for line in self.path.read_text(encoding="ascii").splitlines():
+            data = self.path.read_bytes()
+            end = data.rfind(b"\n") + 1  # bytes after the last newline are a torn write
+            lines = data[:end].splitlines(keepends=True)
+            for i, line in enumerate(lines):
                 if not line.strip():
                     continue
-                key, b64 = line.split()
-                self._mem[key] = self._decode(b64)
+                try:
+                    key, b64 = line.decode("ascii").split()
+                    self._mem[key] = self._decode(b64)
+                except ValueError:  # binascii.Error and UnicodeDecodeError included
+                    if i < len(lines) - 1:
+                        raise
+                    end -= len(line)
+            if end < len(data):
+                self._torn = (end, len(data))
 
     @staticmethod
     def _decode(b64: str) -> np.ndarray:
@@ -140,6 +154,12 @@ class VectorCache:
             if key not in self._mem:
                 self._mem[key] = rounded
                 b64 = base64.b64encode(stored.tobytes()).decode("ascii")
+                if self._torn is not None:
+                    end, size = self._torn
+                    # another writer may have cut the tail and appended already
+                    if self.path.stat().st_size == size:
+                        os.truncate(self.path, end)
+                    self._torn = None
                 with open(self.path, "a", encoding="ascii") as fh:
                     fh.write(f"{key}  {b64}\n")
         return rounded.copy()

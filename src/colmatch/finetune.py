@@ -76,10 +76,6 @@ class ProjectedProvider:
     def dimension(self) -> int:
         return self.base.dimension
 
-    @property
-    def provider_id(self) -> str:
-        return self.base.provider_id
-
     def embed(self, texts: Sequence[str]) -> list:
         return [self.head.apply(v) for v in self.base.embed(texts)]
 

@@ -11,7 +11,6 @@ from typing import Optional
 
 from .embedding import EmbeddingProviderConfig, get_provider
 from .finetune import ProjectedProvider, load_head
-from .rerank_bipartite import rerank_bipartite
 from .rerank_llm import DEFAULT_TOP_K, LlmConfig, rerank_llm
 from .retrieval import DEFAULT_K, MatchList, exact_name_override, retrieve
 from .sampling import SamplerConfig, sample_values
@@ -92,6 +91,17 @@ def column_samples(table: Table, sampling: SamplerConfig) -> dict:
     return {col.name: sample_values(col, sampling) for col in table.columns}
 
 
+def rerank_bipartite(matches: MatchList) -> MatchList:
+    """colmatch.rerank_bipartite.rerank_bipartite, imported on first use.
+
+    That module loads scipy; deferring it keeps scipy out of every run that
+    does not rerank by assignment.
+    """
+    from . import rerank_bipartite as bipartite
+
+    return bipartite.rerank_bipartite(matches)
+
+
 def build_provider(config: PipelineConfig):
     provider = get_provider(config.provider)
     if config.projection_path is not None:
@@ -105,20 +115,31 @@ def run_pipeline(
     config: Optional[PipelineConfig] = None,
     llm_client=None,
 ) -> MatchList:
-    """Retrieve candidates, pin exact-name pairs, then apply the reranker."""
+    """Retrieve candidates, pin exact-name pairs, then apply the reranker.
+
+    Each column is sampled once; the LLM reranker's prompts show the same
+    samples that were serialized and embedded.
+    """
     config = config or PipelineConfig()
+    if config.reranker == "bipartite":
+        # load scipy before this run's working set: imported mid-run, its
+        # objects pin freed memory (+5 % peak RSS on 1100 x 1150 columns)
+        from . import rerank_bipartite as _  # noqa: F401
     provider = build_provider(config)
-    matches = retrieve(source, target, config.k, config.sampling, config.serialization, provider)
+    samples = (column_samples(source, config.sampling), column_samples(target, config.sampling))
+    matches = retrieve(
+        source,
+        target,
+        config.k,
+        serialization=config.serialization,
+        provider=provider,
+        samples=samples,
+    )
     matches = exact_name_override(matches, source, target)
     if config.reranker == "bipartite":
         return rerank_bipartite(matches)
     if config.reranker == "llm":
         return rerank_llm(
-            matches,
-            column_samples(source, config.sampling),
-            column_samples(target, config.sampling),
-            config.llm,
-            n_send=config.llm_top_k,
-            client=llm_client,
+            matches, *samples, config.llm, n_send=config.llm_top_k, client=llm_client
         )
     return matches

@@ -257,10 +257,13 @@ def _merge_scores(candidates, sent, parsed, source_name):
     rescaled = []
     if leftovers:
         max_leftover = max(c.score for c in leftovers)
-        g = 1.0
-        if max_leftover >= s_min:
+        g, shift = 1.0, 0.0
+        if max_leftover >= s_min > 0:
             g = s_min / (max_leftover + LEFTOVER_EPSILON)
-        rescaled = [(c.target, c.score * g) for c in leftovers]
+        elif max_leftover >= s_min:
+            # no factor brings scores below a 0.00 model score: shift them instead
+            shift = max_leftover - s_min + LEFTOVER_EPSILON
+        rescaled = [(c.target, c.score * g - shift) for c in leftovers]
     merged = scored + rescaled
     merged.sort(key=lambda entry: -entry[1])  # stable: scored order, then leftovers
     return [

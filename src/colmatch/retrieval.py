@@ -55,18 +55,19 @@ def normalize_name(name: str) -> str:
     return _NAME_JUNK_RE.sub("", name.lower())
 
 
-def column_texts(
+def embed_samples(
     table: Table,
-    sampling: Optional[SamplerConfig] = None,
+    samples: dict,
     serialization: Optional[SerializationConfig] = None,
-) -> list:
-    """Serialized text for each column, in table order."""
-    sampling = sampling or SamplerConfig()
-    texts = []
-    for col in table.columns:
-        sample = sample_values(col, sampling)
-        texts.append(serialize(col.name, col.inferred_type, sample, serialization))
-    return texts
+    provider=None,
+) -> np.ndarray:
+    """Embed each column serialized with samples[column name], as an (n_columns, D) matrix."""
+    provider = provider if provider is not None else get_provider(EmbeddingProviderConfig())
+    texts = [
+        serialize(col.name, col.inferred_type, samples[col.name], serialization)
+        for col in table.columns
+    ]
+    return np.vstack([np.asarray(v, dtype=np.float64) for v in provider.embed(texts)])
 
 
 def embed_table(
@@ -75,10 +76,10 @@ def embed_table(
     serialization: Optional[SerializationConfig] = None,
     provider=None,
 ) -> np.ndarray:
-    """Stack the table's column embeddings into an (n_columns, D) matrix."""
-    provider = provider if provider is not None else get_provider(EmbeddingProviderConfig())
-    vectors = provider.embed(column_texts(table, sampling, serialization))
-    return np.vstack([np.asarray(v, dtype=np.float64) for v in vectors])
+    """Sample every column of the table, then embed_samples()."""
+    sampling = sampling or SamplerConfig()
+    samples = {col.name: sample_values(col, sampling) for col in table.columns}
+    return embed_samples(table, samples, serialization, provider)
 
 
 def _ranked(source_name: str, target_names: Sequence[str], scores, k: int) -> list:
@@ -114,14 +115,23 @@ def retrieve(
     sampling: Optional[SamplerConfig] = None,
     serialization: Optional[SerializationConfig] = None,
     provider=None,
+    samples: Optional[tuple] = None,
 ) -> MatchList:
-    """Embed both tables and rank candidate targets for every source column."""
+    """Embed both tables and rank candidate targets for every source column.
+
+    `samples`, a (source, target) pair of column name -> sampled values
+    maps, embeds those samples instead of sampling both tables here.
+    """
     if not source.columns or not target.columns:
         raise ValueError("both tables must have at least one column")
     provider = provider if provider is not None else get_provider(EmbeddingProviderConfig())
-    src_vecs = embed_table(source, sampling, serialization, provider)
-    dst_vecs = embed_table(target, sampling, serialization, provider)
-    return retrieve_from_vectors(source, target, src_vecs, dst_vecs, k)
+    if samples is None:
+        vectors = [embed_table(t, sampling, serialization, provider) for t in (source, target)]
+    else:
+        vectors = [
+            embed_samples(t, s, serialization, provider) for t, s in zip((source, target), samples)
+        ]
+    return retrieve_from_vectors(source, target, *vectors, k)
 
 
 def exact_name_override(matches: MatchList, source: Table, target: Table) -> MatchList:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .tables import Column, is_missing
+from .tables import Column, value_counts
 
 STRATEGIES = ("priority", "coordinated", "weighted", "frequency", "random")
 
@@ -25,18 +26,31 @@ _MASK64 = (1 << 64) - 1
 _UNIT_BUCKETS = 1 << 53
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash."""
-    h = _FNV_OFFSET
+def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
+    """FNV-1a 64-bit hash.
+
+    `state` continues from an earlier result: fnv1a64(b, fnv1a64(a)) equals
+    fnv1a64(a + b).
+    """
+    h = state
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
 
 
+@lru_cache(maxsize=64)
+def _seed_state(seed: int) -> int:
+    """FNV-1a state after the 8 little-endian seed bytes."""
+    return fnv1a64((seed & _MASK64).to_bytes(8, "little"))
+
+
 def hash_unit(seed: int, value: str) -> float:
-    """Stable hash of (seed, value) folded into (0, 1], never exactly 0."""
-    data = (seed & _MASK64).to_bytes(8, "little") + value.encode("utf-8")
-    return ((fnv1a64(data) % _UNIT_BUCKETS) + 1) / _UNIT_BUCKETS
+    """Stable hash of (seed, value) folded into (0, 1], never exactly 0.
+
+    FNV-1a over the 8 little-endian seed bytes followed by the UTF-8 value.
+    """
+    h = fnv1a64(value.encode("utf-8"), _seed_state(seed))
+    return ((h % _UNIT_BUCKETS) + 1) / _UNIT_BUCKETS
 
 
 @dataclass(frozen=True)
@@ -52,35 +66,29 @@ class SamplerConfig:
             raise ValueError("sample_size must be >= 1")
 
 
-def _byte_order(value: str) -> bytes:
-    # lexicographic UTF-8 byte order, the tie-break everywhere below
-    return value.encode("utf-8")
-
-
 def sample_values(column: Column, config: SamplerConfig) -> list:
     """Select up to config.sample_size distinct non-missing values.
 
     Ranked strategies (priority, coordinated, frequency) return values in
     descending rank order; weighted and random return them in selection
-    order.  Rank ties break by ascending byte order of the value.
+    order.  Rank ties break by ascending byte order of the value.  Each
+    distinct value is ranked (and hashed) once.
     """
-    freq = Counter(v for v in column.values if not is_missing(v))
+    freq = value_counts(column.values)
     if not freq:
         return []
-    values = sorted(freq, key=_byte_order)
-    m = config.sample_size
+    seed = config.seed
 
+    # str comparison is code point order, which is also UTF-8 byte order
     if config.strategy == "priority":
-        rank = lambda v: freq[v] / hash_unit(config.seed, v)
+        key = lambda v: (-freq[v] / hash_unit(seed, v), v)
     elif config.strategy == "coordinated":
-        rank = lambda v: 1.0 / hash_unit(config.seed, v)
+        key = lambda v: (-1.0 / hash_unit(seed, v), v)
     elif config.strategy == "frequency":
-        rank = lambda v: float(freq[v])
+        key = lambda v: (-float(freq[v]), v)
     else:
-        return _draw(values, freq, config)
-
-    ranked = sorted(values, key=lambda v: (-rank(v), _byte_order(v)))
-    return ranked[:m]
+        return _draw(sorted(freq), freq, config)
+    return sorted(freq, key=key)[: config.sample_size]
 
 
 def _draw(values: list, freq: Counter, config: SamplerConfig) -> list:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,6 +36,14 @@ GROUND_TRUTH_HEADER = ("source_column", "target_column")
 def is_missing(cell: Optional[str]) -> bool:
     """True for None, whitespace-only cells, and NA spellings (any case)."""
     return cell is None or cell.strip().lower() in MISSING_MARKERS
+
+
+def value_counts(cells) -> Counter:
+    """Count of each non-missing cell; missingness is decided once per distinct cell."""
+    counts = Counter(cells)
+    for cell in [c for c in counts if is_missing(c)]:
+        del counts[cell]
+    return counts
 
 
 def _is_number(cell: str) -> bool:
@@ -117,17 +126,21 @@ def infer_type(column: Column) -> str:
     binary (exactly 2 distinct), numerical (>= 95% decimal), date (>= 95%
     ISO-8601 calendar date, optional time suffix), else categorical.
     """
-    cells = column.non_missing()
-    if not cells:
+    return _classify(value_counts(column.values))
+
+
+def _classify(counts: Counter) -> str:
+    """infer_type over a non-missing value -> count map; each value parses once."""
+    n = sum(counts.values())
+    if not n:
         return "unknown"
-    distinct = set(cells)
-    if len(distinct) / len(cells) > KEY_DISTINCT_RATIO:
+    if len(counts) / n > KEY_DISTINCT_RATIO:
         return "key"
-    if len(distinct) == 2:
+    if len(counts) == 2:
         return "binary"
-    if sum(1 for c in cells if _is_number(c)) / len(cells) >= PARSE_FRACTION:
+    if sum(k for v, k in counts.items() if _is_number(v)) / n >= PARSE_FRACTION:
         return "numerical"
-    if sum(1 for c in cells if _is_date(c)) / len(cells) >= PARSE_FRACTION:
+    if sum(k for v, k in counts.items() if _is_date(v)) / n >= PARSE_FRACTION:
         return "date"
     return "categorical"
 
@@ -160,20 +173,19 @@ def load_table(path, name: Optional[str] = None) -> Table:
             raise ValueError(f"{p}: duplicate header {cell!r}")
         seen.add(cell)
 
-    cells_by_col: list = [[] for _ in header]
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) > len(header):
-            raise ValueError(
-                f"{p}: row {lineno} has {len(row)} cells, header has {len(header)}"
-            )
-        row = row + [""] * (len(header) - len(row))
-        for i, cell in enumerate(row):
-            cells_by_col[i].append(None if is_missing(cell) else cell)
+    body = rows[1:]
+    width = len(header)
+    for lineno, row in enumerate(body, start=2):
+        if len(row) > width:
+            raise ValueError(f"{p}: row {lineno} has {len(row)} cells, header has {width}")
+        row.extend([""] * (width - len(row)))
 
     columns = []
-    for cname, cells in zip(header, cells_by_col):
-        col = Column(cname, tuple(cells))
-        columns.append(replace(col, inferred_type=infer_type(col)))
+    for cname, cells in zip(header, zip(*body) if body else [()] * width):
+        counts = value_counts(cells)
+        if sum(counts.values()) < len(cells):
+            cells = [c if c in counts else None for c in cells]
+        columns.append(Column(cname, tuple(cells), _classify(counts)))
     return Table(name, tuple(columns))
 
 

@@ -130,3 +130,122 @@ def finite_difference_gradient(loss_fn, matrix, step=1e-5):
             lo = loss_fn(bumped)
             grad[i, j] = (hi - lo) / (2.0 * step)
     return grad
+
+
+# -- sampling and table loading, per cell ------------------------------------
+# These restate how sampling and loading behaved before both were rewritten
+# to work once per distinct value: a missingness test per cell, one FNV-1a
+# over seed bytes + value bytes per hash, and sorts keyed by UTF-8 bytes.
+
+_NA_SPELLINGS = {"", "na", "n/a", "null", "none"}
+
+
+def cell_missing_longhand(cell):
+    return cell is None or cell.strip().lower() in _NA_SPELLINGS
+
+
+def fnv1a64_longhand(data):
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % (1 << 64)
+    return h
+
+
+def hash_unit_longhand(seed, value):
+    data = (seed % (1 << 64)).to_bytes(8, "little") + value.encode("utf-8")
+    return ((fnv1a64_longhand(data) % (1 << 53)) + 1) / (1 << 53)
+
+
+def sample_values_longhand(cells, strategy, sample_size, seed, unit=hash_unit_longhand):
+    """Sampling over a list of cells, one missingness test per cell; `unit` is the hash."""
+    import random
+
+    freq = {}
+    for cell in cells:
+        if not cell_missing_longhand(cell):
+            freq[cell] = freq.get(cell, 0) + 1
+    values = sorted(freq, key=lambda v: v.encode("utf-8"))
+    if strategy in ("priority", "coordinated", "frequency"):
+        ranks = {}
+        for v in values:
+            if strategy == "priority":
+                ranks[v] = freq[v] / unit(seed, v)
+            elif strategy == "coordinated":
+                ranks[v] = 1.0 / unit(seed, v)
+            else:
+                ranks[v] = float(freq[v])
+        ranked = sorted(values, key=lambda v: (-ranks[v], v.encode("utf-8")))
+        return ranked[:sample_size]
+    rng = random.Random(seed)
+    pool = list(values)
+    picked = []
+    while pool and len(picked) < sample_size:
+        if strategy == "weighted":
+            r = rng.random() * sum(freq[v] for v in pool)
+            acc = 0.0
+            idx = len(pool) - 1
+            for i, v in enumerate(pool):
+                acc += freq[v]
+                if r < acc:
+                    idx = i
+                    break
+        else:
+            idx = rng.randrange(len(pool))
+        picked.append(pool.pop(idx))
+    return picked
+
+
+def infer_type_longhand(cells):
+    """Type label from a per-cell scan: unknown, key, binary, numerical, date, categorical."""
+    import re
+    from datetime import date
+
+    number = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+    stamp = re.compile(
+        r"(\d{4}-\d{2}-\d{2})([T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?(Z|[+-]\d{2}:?\d{2})?)?$"
+    )
+
+    def is_date(cell):
+        m = stamp.fullmatch(cell.strip())
+        if m is None:
+            return False
+        try:
+            date.fromisoformat(m.group(1))
+        except ValueError:
+            return False
+        return True
+
+    present = [c for c in cells if not cell_missing_longhand(c)]
+    if not present:
+        return "unknown"
+    distinct = set(present)
+    if len(distinct) / len(present) > 0.90:
+        return "key"
+    if len(distinct) == 2:
+        return "binary"
+    if sum(1 for c in present if number.fullmatch(c.strip())) / len(present) >= 0.95:
+        return "numerical"
+    if sum(1 for c in present if is_date(c)) / len(present) >= 0.95:
+        return "date"
+    return "categorical"
+
+
+def load_table_longhand(path):
+    """[(name, cells, type label)] of a CSV, cell by cell; ValueError on a too-wide row."""
+    import csv
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    columns = [[] for _ in header]
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) > len(header):
+            raise ValueError(
+                f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
+            )
+        for i in range(len(header)):
+            cell = row[i] if i < len(row) else ""
+            columns[i].append(None if cell_missing_longhand(cell) else cell)
+    return [
+        (name, tuple(cells), infer_type_longhand(cells)) for name, cells in zip(header, columns)
+    ]

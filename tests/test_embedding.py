@@ -109,6 +109,49 @@ class TestHashProvider:
         raw = base64.b64decode(b64)
         assert len(raw) == 16 * 4  # float32 payload
 
+    def test_torn_last_line_ignored_then_cut_before_append(self, tmp_path):
+        cache = tmp_path / "vectors.cache"
+        cfg = EmbeddingProviderConfig(dimension=16, cache_path=str(cache))
+        texts = ["alpha", "beta", "gamma"]
+        whole = embed_batch(texts, cfg)
+        intact = cache.read_bytes()
+        assert intact.count(b"\n") == 3
+        cache.write_bytes(intact[:-20])  # a crash mid-write of the third line
+
+        reloaded = VectorCache(cache)
+        assert reloaded.get(VectorCache.key(cfg.provider_id(), "beta")) is not None
+        assert reloaded.get(VectorCache.key(cfg.provider_id(), "gamma")) is None
+        again = embed_batch(texts, cfg)
+        for a, b in zip(whole, again):
+            assert a.tobytes() == b.tobytes()
+        assert cache.read_bytes() == intact
+
+    def test_two_readers_of_a_torn_cache_keep_each_others_entries(self, tmp_path):
+        cache = tmp_path / "vectors.cache"
+        cfg = EmbeddingProviderConfig(dimension=16, cache_path=str(cache))
+        embed_batch(["alpha", "beta"], cfg)
+        cache.write_bytes(cache.read_bytes()[:-20])
+        first, second = VectorCache(cache), VectorCache(cache)
+        first.put("k1", np.ones(16))
+        second.put("k2", np.ones(16))
+        reloaded = VectorCache(cache)
+        for key in ("k1", "k2", VectorCache.key(cfg.provider_id(), "alpha")):
+            assert reloaded.get(key) is not None
+
+    def test_undecodable_last_line_ignored_but_not_an_earlier_one(self, tmp_path):
+        cache = tmp_path / "vectors.cache"
+        cfg = EmbeddingProviderConfig(dimension=16, cache_path=str(cache))
+        embed_batch(["alpha"], cfg)
+        intact = cache.read_bytes()
+        cache.write_bytes(intact + b"0f  abc\n")
+        embed_batch(["beta"], cfg)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 2 and lines[0] == intact
+
+        cache.write_bytes(b"0f  abc\n" + intact)
+        with pytest.raises(ValueError):
+            VectorCache(cache)
+
     def test_cache_distinguishes_providers(self, tmp_path):
         cache = tmp_path / "vectors.cache"
         a = embed_batch(["x"], EmbeddingProviderConfig(dimension=16, cache_path=str(cache)))

@@ -1,10 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import colmatch.pipeline as pipeline
+import colmatch.retrieval as retrieval
 from colmatch.embedding import EmbeddingProviderConfig
 from colmatch.finetune import ProjectionHead, save_head
 from colmatch.pipeline import PRESETS, PipelineConfig, run_pipeline
-from colmatch.rerank_llm import LlmConfig
+from colmatch.rerank_llm import LlmConfig, column_line
 from colmatch.sampling import SamplerConfig
 from colmatch.serialization import SerializationConfig
 from colmatch.tables import Column, Table
@@ -140,6 +144,52 @@ class TestRunPipeline:
         for src, cands in matches.per_source.items():
             assert len(cands) >= 1
             assert [c.rank for c in cands] == list(range(1, len(cands) + 1))
+
+    def test_llm_run_samples_each_column_once_and_prompts_the_embedded_sample(
+        self, monkeypatch
+    ):
+        source, target = identity_tables(3)
+        calls = Counter()
+        for module in (pipeline, retrieval):
+
+            def counting(column, config, original=module.sample_values):
+                calls[column.name] += 1
+                return original(column, config)
+
+            monkeypatch.setattr(module, "sample_values", counting)
+        serialized = {}
+
+        def recording(name, type_label, values, config=None, original=retrieval.serialize):
+            serialized[name] = list(values)
+            return original(name, type_label, values, config)
+
+        monkeypatch.setattr(retrieval, "serialize", recording)
+        prompts = []
+
+        class RecordingClient(ScriptedLlmClient):
+            def complete(self, prompt):
+                prompts.append(prompt)
+                return super().complete(prompt)
+
+        config = PipelineConfig(
+            sampling=SamplerConfig(sample_size=4),
+            reranker="llm",
+            llm=LlmConfig(endpoint="http://unused.invalid/v1"),
+        )
+        run_pipeline(source, target, config, llm_client=RecordingClient())
+
+        names = source.column_names() + target.column_names()
+        assert calls == Counter(names)
+        assert sorted(serialized) == sorted(names)
+        assert all(len(values) == 4 for values in serialized.values())
+        assert len(prompts) == len(source.columns)
+        for prompt in prompts:
+            input_block = prompt.split("\n\n")[3]
+            lines = [line for line in input_block.splitlines() if line.startswith("Column: ")]
+            assert len(lines) == 1 + len(target.columns)
+            for line in lines:
+                name = line[len("Column: ") : line.index(", Sample values: ")]
+                assert line == column_line(name, serialized[name])
 
     def test_match_candidates_preserved_by_rerankers(self):
         source, target = identity_tables(4)

@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 from colmatch.rerank_llm import (
     HttpLlmClient,
@@ -234,6 +235,41 @@ class TestRerankLlm:
         assert list(out.per_source) == [f"s{i}" for i in range(8)]
         for src in per_source:
             assert _order(out, src) == ["y", "x"]
+
+    def test_zero_model_score_keeps_leftovers_ordered_below_it(self):
+        matches = _matches({"a": [("t2", 0.6), ("t1", 0.5), ("t3", 0.4)]})
+        client = FakeClient(["t1(0.00)"])
+        out = rerank_llm(matches, {"a": []}, {}, n_send=2, client=client)
+        cands = out.candidates("a")
+        assert _order(out, "a") == ["t1", "t2", "t3"]
+        assert cands[0].score == 0.0
+        assert 0.0 > cands[1].score > cands[2].score
+
+
+@given(
+    retrieval=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+    model=st.lists(st.integers(0, 100), min_size=1, max_size=8),
+    n_send=st.integers(1, 8),
+)
+def test_leftovers_keep_retrieval_order_strictly_below_model_scores(retrieval, model, n_send):
+    names = [f"t{i}" for i in range(len(retrieval))]
+    retrieved = sorted(zip(names, retrieval), key=lambda p: (-p[1], p[0]))
+    sent = [name for name, _ in retrieved[:n_send]]
+    scored = list(zip(sent, (m / 100 for m in model)))  # 0.00..1.00, some sent names omitted
+    reply = "; ".join(f"{name}({score:.2f})" for name, score in scored)
+    client = FakeClient([reply])
+    out = rerank_llm(_matches({"a": retrieved}), {"a": []}, {}, n_send=n_send, client=client)
+    cands = out.candidates("a")
+    assert [c.rank for c in cands] == list(range(1, len(cands) + 1))
+    assert sorted(c.target for c in cands) == sorted(names)
+    head = len(scored)
+    assert [(c.target, c.score) for c in cands[:head]] == sorted(scored, key=lambda p: -p[1])
+    leftovers = cands[head:]
+    scored_names = {name for name, _ in scored}
+    assert [c.target for c in leftovers] == [n for n, _ in retrieved if n not in scored_names]
+    lowest = min(score for _, score in scored)
+    assert all(c.score < lowest for c in leftovers)
+    assert all(a.score >= b.score for a, b in zip(leftovers, leftovers[1:]))
 
 
 class TestLlmConfig:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import colmatch.sampling as sampling
+import oracles
 from colmatch.sampling import SamplerConfig, hash_unit, sample_values
 from colmatch.tables import Column
 
@@ -135,3 +136,71 @@ def test_common_properties(values, strategy, m, seed):
         assert set(out) == distinct
     # determinism
     assert sample_values(col, cfg) == out
+
+
+# cells a loaded table never holds but a directly built Column may: NA
+# spellings in any case, whitespace-only cells, and None
+_na_cells = st.sampled_from(["na", "n/a", "null", "none", ""]).flatmap(
+    lambda word: st.tuples(
+        st.sampled_from(["", " ", "\t"]),
+        st.lists(st.booleans(), min_size=len(word), max_size=len(word)),
+        st.sampled_from(["", " ", "\n"]),
+    ).map(
+        lambda t: t[0]
+        + "".join(c.upper() if up else c for c, up in zip(word, t[1]))
+        + t[2]
+    )
+)
+# a small alphabet with non-ASCII letters, so values repeat and frequencies tie
+_cells = st.one_of(
+    st.none(),
+    _na_cells,
+    st.text(alphabet="ab é中\U0001f600", min_size=1, max_size=3),
+    st.text(max_size=6),
+)
+
+
+class TestFnv:
+    def test_reference_vectors(self):
+        assert sampling.fnv1a64(b"") == 0xCBF29CE484222325
+        assert sampling.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+        assert sampling.fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    @given(st.binary(max_size=40), st.binary(max_size=40))
+    def test_state_continues_a_hash(self, head, tail):
+        assert sampling.fnv1a64(tail, sampling.fnv1a64(head)) == sampling.fnv1a64(head + tail)
+        assert sampling.fnv1a64(head + tail) == oracles.fnv1a64_longhand(head + tail)
+
+    @given(st.integers(-(2**70), 2**70), st.text(max_size=12))
+    def test_hash_unit_matches_longhand(self, seed, value):
+        assert hash_unit(seed, value) == oracles.hash_unit_longhand(seed, value)
+
+
+@settings(max_examples=200)
+@given(
+    cells=st.lists(_cells, max_size=40),
+    strategy=strategies,
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**64),
+)
+def test_sample_values_equals_per_cell_reference(cells, strategy, m, seed):
+    out = sample_values(_col(cells), SamplerConfig(strategy, m, seed))
+    assert out == oracles.sample_values_longhand(cells, strategy, m, seed)
+
+
+@settings(max_examples=100)
+@given(
+    cells=st.lists(_cells, max_size=40),
+    strategy=st.sampled_from(["priority", "coordinated"]),
+    m=st.integers(1, 8),
+)
+def test_rank_ties_break_by_utf8_bytes(cells, strategy, m):
+    # a coarse hash makes equal ranks common
+    coarse = lambda seed, value: (len(value) % 3 + 1) / 3
+    original = sampling.hash_unit
+    sampling.hash_unit = coarse
+    try:
+        out = sample_values(_col(cells), SamplerConfig(strategy, m, 0))
+    finally:
+        sampling.hash_unit = original
+    assert out == oracles.sample_values_longhand(cells, strategy, m, 0, unit=coarse)

@@ -1,7 +1,12 @@
+import csv
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from colmatch.tables import (
     Column,
@@ -201,3 +206,64 @@ class TestGroundTruth:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_ground_truth(tmp_path / "absent.csv")
+
+
+_pools = {
+    "number": st.one_of(
+        st.integers(-999, 999).map(str),
+        st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: f"{x:.2f}"),
+    ),
+    "date": st.dates().map(lambda d: d.isoformat()),
+    "word": st.text(alphabet="abé中 ,\"", min_size=1, max_size=4),
+    "flag": st.sampled_from(["yes", "no"]),
+}
+_na = st.sampled_from(["", " ", "NA", "n/a", "Null", "NONE", "na "])
+
+
+@st.composite
+def _csv_rows(draw):
+    width = draw(st.integers(1, 5))
+    cell_for = []
+    for _ in range(width):
+        # few distinct values, so repeats keep most columns from being keys
+        kind = draw(st.sampled_from(sorted(_pools)))
+        pool = draw(st.lists(_pools[kind], min_size=1, max_size=4))
+        if draw(st.booleans()):
+            pool += draw(st.lists(st.one_of(_na, _pools["word"]), min_size=1, max_size=2))
+        cell_for.append(st.one_of(_pools[kind], st.sampled_from(pool), st.sampled_from(pool)))
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        row = [draw(cell) for cell in cell_for]
+        if draw(st.integers(0, 9)) == 0:  # a short row
+            row = row[: draw(st.integers(0, width - 1))]
+        rows.append(row)
+    if rows and draw(st.integers(0, 9)) == 0:  # a row wider than the header
+        rows[draw(st.integers(0, len(rows) - 1))].append("extra")
+    return [f"h{i}" for i in range(width)], rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_rows())
+def test_load_table_equals_per_cell_reference(header_rows):
+    header, rows = header_rows
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        try:
+            expected = oracles.load_table_longhand(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                load_table(path)
+            assert str(raised.value) == str(exc)
+            return
+        table = load_table(path)
+    assert [(c.name, c.values, c.inferred_type) for c in table.columns] == expected
+
+
+@given(st.lists(st.one_of(st.none(), _na, *_pools.values()), max_size=40))
+def test_infer_type_on_built_columns_equals_per_cell_reference(cells):
+    # a directly built Column keeps NA spellings and blanks as cells
+    assert infer_type(_col(cells)) == oracles.infer_type_longhand(cells)
