@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .embedding import EmbeddingProviderConfig
+from .linestore import LineStore
 from .metrics import evaluate
 from .pipeline import RERANKERS, PipelineConfig
 from .rerank_llm import LlmConfig
@@ -147,22 +148,6 @@ def _run_one(cell: dict, pair, seed: int, grid: ExperimentGrid) -> dict:
     }
 
 
-def _load_records(path: Path) -> list:
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
-
-
-def _append_record(path: Path, record: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-        fh.flush()
-
-
 def format_measure(values) -> str:
     """Population mean +/- std in the fixed 3-decimal style, e.g. 0.344±0.081."""
     if not values:
@@ -258,10 +243,8 @@ def run_grid(grid: ExperimentGrid, out_dir) -> list:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records_path = out_dir / RECORDS_NAME
-    done = {
-        (r["cell"], r["pair"], r["repetition"]) for r in _load_records(records_path)
-    }
+    records = LineStore(out_dir / RECORDS_NAME, json.loads)
+    done = {(r["cell"], r["pair"], r["repetition"]) for r in records.read()}
 
     for cell in grid.cells():
         cid = _cell_id(cell)
@@ -281,8 +264,8 @@ def run_grid(grid: ExperimentGrid, out_dir) -> list:
                 except Exception as exc:  # noqa: BLE001 - cell failures must not kill the grid
                     record["error"] = f"{type(exc).__name__}: {exc}"
                     log.warning("run %s pair=%d rep=%d failed: %s", cid, pair_index, repetition, record["error"])
-                _append_record(records_path, record)
+                records.append(json.dumps(record, ensure_ascii=False))
 
-    rows = aggregate(grid, _load_records(records_path))
+    rows = aggregate(grid, records.read())
     write_results(rows, out_dir)
     return rows

@@ -144,6 +144,12 @@ def _get(node: dict, *keys, default=None):
     return node
 
 
+def _flag(args, name, file_cfg, *keys, default=None):
+    """The flag `name` when given (an explicit 0 included), else the config file value."""
+    value = getattr(args, name, None)
+    return value if value is not None else _get(file_cfg, *keys, default=default)
+
+
 def resolve_config(args) -> PipelineConfig:
     """defaults < config file < preset < explicit flags."""
     file_cfg = _file_config(args)
@@ -164,17 +170,13 @@ def resolve_config(args) -> PipelineConfig:
         raise ValueError(f"preset {args.preset} requires --projection")
 
     sampling = SamplerConfig(
-        strategy=getattr(args, "sampling", None)
-        or _get(file_cfg, "sampling", "strategy", default="priority"),
-        sample_size=getattr(args, "sample_size", None)
-        or _get(file_cfg, "sampling", "sample_size", default=10),
+        strategy=_flag(args, "sampling", file_cfg, "sampling", "strategy", default="priority"),
+        sample_size=_flag(args, "sample_size", file_cfg, "sampling", "sample_size", default=10),
         seed=seed if args.seed is not None else _get(file_cfg, "sampling", "seed", default=seed),
     )
     serialization = SerializationConfig(
-        format=getattr(args, "serialization", None)
-        or _get(file_cfg, "serialization", "format", default="default"),
-        repeat_count=getattr(args, "repeat_k", None)
-        or _get(file_cfg, "serialization", "repeat_count", default=5),
+        format=_flag(args, "serialization", file_cfg, "serialization", "format", default="default"),
+        repeat_count=_flag(args, "repeat_k", file_cfg, "serialization", "repeat_count", default=5),
     )
     provider = EmbeddingProviderConfig(
         kind=_get(file_cfg, "provider", "kind", default="hash"),
@@ -203,7 +205,7 @@ def resolve_config(args) -> PipelineConfig:
         reranker=reranker,
         projection_path=projection,
         llm=llm,
-        llm_top_k=getattr(args, "llm_top_k", None) or _get(file_cfg, "llm_top_k", default=20),
+        llm_top_k=_flag(args, "llm_top_k", file_cfg, "llm_top_k", default=20),
         seed=seed,
     )
 

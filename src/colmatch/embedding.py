@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import os
 import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 import requests
 
+from .linestore import LineStore
 from .sampling import fnv1a64
 
 PROVIDER_KINDS = ("hash", "remote")
@@ -107,26 +106,14 @@ class VectorCache:
     """
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
         self._lock = threading.Lock()
-        self._mem = {}
-        self._torn = None  # (offset of an ignored torn last line, file size when read)
-        if self.path.exists():
-            data = self.path.read_bytes()
-            end = data.rfind(b"\n") + 1  # bytes after the last newline are a torn write
-            lines = data[:end].splitlines(keepends=True)
-            for i, line in enumerate(lines):
-                if not line.strip():
-                    continue
-                try:
-                    key, b64 = line.decode("ascii").split()
-                    self._mem[key] = self._decode(b64)
-                except ValueError:  # binascii.Error and UnicodeDecodeError included
-                    if i < len(lines) - 1:
-                        raise
-                    end -= len(line)
-            if end < len(data):
-                self._torn = (end, len(data))
+        self._store = LineStore(path, self._parse)
+        self._mem = dict(self._store.read())
+
+    @classmethod
+    def _parse(cls, line: str) -> tuple:
+        key, b64 = line.split()
+        return key, cls._decode(b64)
 
     @staticmethod
     def _decode(b64: str) -> np.ndarray:
@@ -154,14 +141,7 @@ class VectorCache:
             if key not in self._mem:
                 self._mem[key] = rounded
                 b64 = base64.b64encode(stored.tobytes()).decode("ascii")
-                if self._torn is not None:
-                    end, size = self._torn
-                    # another writer may have cut the tail and appended already
-                    if self.path.stat().st_size == size:
-                        os.truncate(self.path, end)
-                    self._torn = None
-                with open(self.path, "a", encoding="ascii") as fh:
-                    fh.write(f"{key}  {b64}\n")
+                self._store.append(f"{key}  {b64}")
         return rounded.copy()
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .metrics import mrr, recall_at_gt
-from .retrieval import MatchCandidate, MatchList
+from .retrieval import MatchCandidate, MatchList, name_ranks, top_k
 from .sampling import fnv1a64
 from .serialization import SerializationConfig, serialize
 from .tables import Column, GroundTruth, infer_type
@@ -264,15 +264,13 @@ def _validation_score(unit: np.ndarray, labels: Sequence[int]) -> float:
         return 0.0
     gt = GroundTruth(frozenset(pairs))
     similarity = unit @ unit.T
+    np.fill_diagonal(similarity, -np.inf)  # ranks every member but itself
+    best = top_k(similarity, name_ranks(ids), len(labels) - 1)
     per_source = {}
-    for i in range(len(labels)):
-        order = sorted(
-            (j for j in range(len(labels)) if j != i),
-            key=lambda j: (-similarity[i, j], ids[j]),
-        )
+    for i, row in enumerate(best.tolist()):
         per_source[ids[i]] = tuple(
             MatchCandidate(ids[i], ids[j], float(similarity[i, j]), rank)
-            for rank, j in enumerate(order, start=1)
+            for rank, j in enumerate(row, start=1)
         )
     matches = MatchList("validation", "validation", per_source, k=max(1, len(labels) - 1))
     return 0.5 * (mrr(matches, gt) + recall_at_gt(matches, gt))

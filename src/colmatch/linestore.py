@@ -1,0 +1,54 @@
+"""Append-only files of one record per line that survive a torn last line.
+
+A crash mid-append leaves a last line without its newline, or one that
+does not parse.  Such a line is ignored on read and cut off before the
+next append; a bad line anywhere earlier still raises.
+"""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+from typing import Callable
+
+
+class LineStore:
+    """Records parsed from `path` by `parse`, which raises ValueError on a bad line."""
+
+    def __init__(self, path, parse: Callable[[str], object]) -> None:
+        self.path = Path(path)
+        self._parse = parse
+        self._torn = None  # (offset of an ignored torn last line, file size when read)
+
+    def read(self) -> list:
+        """Parse every complete line; blank lines are skipped."""
+        self._torn = None
+        if not self.path.exists():
+            return []
+        data = self.path.read_bytes()
+        end = data.rfind(b"\n") + 1  # bytes after the last newline are a torn write
+        lines = data[:end].splitlines(keepends=True)
+        records = []
+        for i, line in enumerate(lines):
+            if not line.strip():
+                continue
+            try:
+                records.append(self._parse(line.decode("utf-8")))
+            except ValueError:  # JSONDecodeError, binascii.Error, UnicodeDecodeError
+                if i < len(lines) - 1:
+                    raise
+                end -= len(line)
+        if end < len(data):
+            self._torn = (end, len(data))
+        return records
+
+    def append(self, line: str) -> None:
+        """Append one record line (no newline), first cutting off a torn tail read()."""
+        if self._torn is not None:
+            end, size = self._torn
+            # another writer may have cut the tail and appended already
+            if self.path.stat().st_size == size:
+                os.truncate(self.path, end)
+            self._torn = None
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")

@@ -31,32 +31,25 @@ def solve_assignment(weights) -> Assignment:
     """Maximum-total-weight one-to-one matching over the present entries.
 
     `weights` is a 2-D array where NaN marks a pair that cannot be
-    assigned.  Rows and columns may stay unmatched, so edges with negative
-    weight are never forced into the solution.  Exact, polynomial time:
-    the rectangular problem is embedded in a padded square matrix with
-    zero-cost "skip" slots and handed to a shortest-augmenting-path solver.
+    assigned.  Rows and columns may stay unmatched, and only edges of
+    weight > 0 are ever assigned: an edge that adds nothing to the total is
+    left out.  Exact, polynomial time: the n x m matrix with absent and
+    non-positive entries set to 0 goes to scipy's rectangular
+    shortest-augmenting-path solver (Crouse, IEEE TAES 2016), and its
+    zero-gain pairs are dropped.
     """
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
         raise ValueError("weights must be a 2-D matrix")
-    n, m = W.shape
     present = ~np.isnan(W)
-    if n == 0 or m == 0 or not present.any():
+    if not present.any():
         return Assignment((), 0.0)
 
-    size = n + m
-    cost = np.full((size, size), np.inf)
-    cost[:n, :m] = np.where(present, -W, np.inf)
-    cost[np.arange(n), m + np.arange(n)] = 0.0  # row i unmatched
-    cost[n + np.arange(m), np.arange(m)] = 0.0  # col j unmatched
-    cost[n:, m:] = 0.0
-    rows, cols = linear_sum_assignment(cost)
-
-    edges = sorted(
-        (int(r), int(c), float(W[r, c]))
-        for r, c in zip(rows, cols)
-        if r < n and c < m and present[r, c]
-    )
+    gain = np.where(present, np.maximum(W, 0.0), 0.0)
+    rows, cols = linear_sum_assignment(gain, maximize=True)
+    keep = gain[rows, cols] > 0.0
+    rows, cols = rows[keep], cols[keep]
+    edges = sorted(zip(rows.tolist(), cols.tolist(), W[rows, cols].tolist()))
     total = math.fsum(w for _, _, w in edges)
     return Assignment(tuple(edges), total)
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,12 +84,32 @@ def embed_table(
     return embed_samples(table, samples, serialization, provider)
 
 
-def _ranked(source_name: str, target_names: Sequence[str], scores, k: int) -> list:
-    order = sorted(range(len(target_names)), key=lambda j: (-scores[j], target_names[j]))
-    return [
-        MatchCandidate(source_name, target_names[j], float(scores[j]), rank)
-        for rank, j in enumerate(order[:k], start=1)
-    ]
+def name_ranks(names: Sequence[str]) -> np.ndarray:
+    """Position of each name in sorted order, for breaking score ties by name."""
+    ranks = np.empty(len(names), dtype=np.int64)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
+
+
+def top_k(scores, name_rank, k: int) -> np.ndarray:
+    """Column indices of the min(k, m) best entries of each row of an (n, m) matrix.
+
+    Best means highest score, then lowest name_rank; NaN ranks after every
+    number.  A partition finds each row's k-th score, every entry at or
+    above it survives (so ties at the cut stay in), and one lexsort over the
+    survivors orders them.
+    """
+    neg = -np.asarray(scores, dtype=np.float64)
+    n, m = neg.shape
+    k = min(k, m)
+    if n == 0 or k == 0:
+        return np.empty((n, k), dtype=np.intp)
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    # a NaN k-th score means the row holds fewer than k numbers: keep all of it
+    rows, cols = np.nonzero((neg <= kth) | np.isnan(kth))
+    order = np.lexsort((name_rank[cols], neg[rows, cols], rows))
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))[:-1]))
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def retrieve_from_vectors(
@@ -102,9 +124,14 @@ def retrieve_from_vectors(
         raise ValueError("k must be >= 1")
     sim = np.asarray(source_vectors) @ np.asarray(target_vectors).T
     target_names = target.column_names()
+    best = top_k(sim, name_ranks(target_names), k)
+    scores = np.take_along_axis(sim, best, axis=1).tolist()
     per_source = {}
-    for i, col in enumerate(source.columns):
-        per_source[col.name] = _ranked(col.name, target_names, sim[i], k)
+    for col, row, row_scores in zip(source.columns, best.tolist(), scores):
+        per_source[col.name] = [
+            MatchCandidate(col.name, target_names[j], score, rank)
+            for rank, (j, score) in enumerate(zip(row, row_scores), start=1)
+        ]
     return MatchList(source.name, target.name, per_source, k)
 
 
@@ -183,10 +210,29 @@ def match_list_as_dict(matches: MatchList) -> dict:
     }
 
 
+def _json_float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
 def write_match_json(matches: MatchList, path) -> None:
+    """Write match_list_as_dict() as json.dump(ensure_ascii=False, indent=2) would, plus a newline.
+
+    Formatted directly: the indenting encoder is pure Python and dominates
+    the write on wide tables.
+    """
+    enc = encode_basestring
+    entries = ",\n".join(
+        f'    {{\n      "source": {enc(c.source)},\n      "target": {enc(c.target)},\n'
+        f'      "score": {_json_float(c.score)},\n      "rank": {c.rank}\n    }}'
+        for c in matches.flat()
+    )
+    listing = f"[\n{entries}\n  ]" if entries else "[]"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(match_list_as_dict(matches), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+        fh.write(
+            f'{{\n  "source_table": {enc(matches.source_table)},\n'
+            f'  "target_table": {enc(matches.target_table)},\n'
+            f'  "matches": {listing}\n}}\n'
+        )
 
 
 def write_match_csv(matches: MatchList, path) -> None:

@@ -42,6 +42,21 @@ def best_partial_assignment(weights):
     return edges, math.fsum(w for _, _, w in edges)
 
 
+def top_k_longhand(scores, names, k):
+    """Per row, the indices of the k best entries by a Python sort.
+
+    Higher score first; NaN after every number; equal scores (0.0 and -0.0
+    included) by name.
+    """
+    return [
+        sorted(
+            range(len(row)),
+            key=lambda j: (math.isnan(row[j]), 0.0 if math.isnan(row[j]) else -row[j], names[j]),
+        )[:k]
+        for row in scores
+    ]
+
+
 def canonical_total(edges):
     """fsum over edge weights in (row, col) order; pairs with the oracle."""
     return math.fsum(w for _, _, w in sorted(edges))

@@ -158,6 +158,33 @@ class TestRunGrid:
         assert len(resumed) == len(records)
         assert (partial / "results.csv").read_bytes() == reference
 
+    def test_resume_after_torn_last_record(self, tmp_path):
+        grid = small_grid(tmp_path)
+        out = tmp_path / "out"
+        run_grid(grid, out)
+        reference = (out / "results.csv").read_bytes()
+        records = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        torn = tmp_path / "torn"
+        torn.mkdir()
+        (torn / "records.jsonl").write_text(
+            "\n".join(records[:2]) + '\n{"c": 3, "mr', encoding="utf-8"
+        )
+        run_grid(grid, torn)
+        resumed = (torn / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(resumed) == len(records)
+        assert [json.loads(line)["cell"] for line in resumed] == [
+            json.loads(line)["cell"] for line in records
+        ]
+        assert (torn / "results.csv").read_bytes() == reference
+
+    def test_bad_earlier_record_still_raises(self, tmp_path):
+        grid = small_grid(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "records.jsonl").write_text('{"c": 3, "mr\n{"c": 4}\n', encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            run_grid(grid, out)
+
     def test_failures_recorded_and_grid_continues(self, tmp_path):
         good = make_suite(tmp_path)[0]
         bad = (str(tmp_path / "missing.csv"), good[1], good[2])

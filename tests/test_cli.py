@@ -261,6 +261,27 @@ class TestConfigResolution:
         with pytest.raises(ValueError, match="requires --projection"):
             resolve_config(args)
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--sample-size", "sample_size must be >= 1"),
+            ("--repeat-k", "repeat_count must be >= 1"),
+            ("--llm-top-k", "llm_top_k must be >= 1"),
+        ],
+    )
+    def test_explicit_zero_is_rejected_not_defaulted(self, pair, flag, message):
+        source, target, _ = pair
+        args = self.args_for(["match", str(source), str(target), flag, "0"])
+        with pytest.raises(ValueError, match=message):
+            resolve_config(args)
+
+    def test_explicit_zero_exits_one(self, tmp_path, pair, capsys):
+        source, target, _ = pair
+        out = str(tmp_path / "m")
+        code = main(["match", str(source), str(target), "--out", out, "--sample-size", "0"])
+        assert code == 1
+        assert "sample_size must be >= 1" in capsys.readouterr().err
+
     def test_serialization_flag_accepts_hyphenated_token(self, pair):
         source, target, _ = pair
         args = self.args_for(

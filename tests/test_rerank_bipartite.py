@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import colmatch.rerank_bipartite as rerank_module
 from colmatch.rerank_bipartite import Assignment, rerank_bipartite, solve_assignment
 from colmatch.retrieval import MatchCandidate, MatchList
 
@@ -78,7 +80,76 @@ class TestSolveAssignment:
             assert canonical_total(got.edges) == want_total, (trial, weights)
 
 
+# dyadic weights, so every total is exact and equal totals compare equal
+_weights = st.sampled_from([math.nan, 0.0, -0.0, -0.25, -0.75, 0.125, 0.25, 0.5, 0.75, 1.0])
+_matrices = st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.lists(_weights, min_size=m, max_size=m), min_size=1, max_size=6)
+)
+
+
+class TestRectangularAssignment:
+    @settings(max_examples=300)
+    @given(_matrices)
+    def test_optimal_one_to_one_over_positive_present_edges(self, weights):
+        W = np.array(weights)
+        got = solve_assignment(W)
+        _, want_total = best_partial_assignment(weights)
+        assert got.total == want_total
+        rows = [r for r, _, _ in got.edges]
+        cols = [c for _, c, _ in got.edges]
+        assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+        for r, c, w in got.edges:
+            assert w > 0 and W[r, c] == w
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (1, 5), (5, 1)])
+    def test_edges_equal_brute_force_on_rectangles(self, shape):
+        rng = random.Random(10 * shape[0] + shape[1])
+
+        def draw():
+            return rng.choice([math.nan, 0.0, -rng.random(), rng.random(), rng.random()])
+
+        for _ in range(40):
+            weights = [[draw() for _ in range(shape[1])] for _ in range(shape[0])]
+            got = solve_assignment(np.array(weights))
+            want_edges, want_total = best_partial_assignment(weights)
+            assert got.edges == want_edges, weights
+            assert got.total == want_total
+
+    def test_all_nan_rows_and_zero_weights_stay_unmatched(self):
+        nan = math.nan
+        out = solve_assignment(
+            [[nan, nan, nan], [0.0, 0.5, nan], [nan, nan, nan], [0.0, -0.0, 0.0]]
+        )
+        assert out == Assignment(((1, 1, 0.5),), 0.5)
+        assert solve_assignment([[nan, nan], [nan, nan]]) == Assignment((), 0.0)
+        assert solve_assignment([[0.0, -0.0], [-0.1, 0.0]]) == Assignment((), 0.0)
+
+    def test_solver_sees_the_n_by_m_matrix(self, monkeypatch):
+        shapes = []
+        original = rerank_module.linear_sum_assignment
+
+        def spy(cost, *args, **kwargs):
+            shapes.append(np.shape(cost))
+            return original(cost, *args, **kwargs)
+
+        monkeypatch.setattr(rerank_module, "linear_sum_assignment", spy)
+        solve_assignment(np.full((4, 7), 0.5))
+        assert shapes == [(4, 7)]
+
+
 class TestRerankBipartite:
+    def test_zero_weight_edge_is_not_assigned(self):
+        matches = _matches(
+            {"s1": [("t1", 0.0), ("t3", -0.2)], "s2": [("t2", 0.5), ("t1", 0.3), ("t3", 0.1)]}
+        )
+        out = rerank_bipartite(matches)
+        assert [(c.target, c.score) for c in out.candidates("s2")] == [
+            ("t2", 0.5),
+            ("t1", 0.3),
+            ("t3", 0.1),
+        ]
+        assert [(c.target, c.score) for c in out.candidates("s1")] == [("t1", 0.0), ("t3", -0.2)]
+
     def test_worked_example(self):
         matches = _matches(
             {"a": [("x", 0.9), ("y", 0.8)], "b": [("x", 0.85), ("y", 0.2)]}

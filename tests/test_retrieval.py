@@ -1,20 +1,30 @@
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colmatch.retrieval import (
     DEFAULT_K,
+    MatchCandidate,
+    MatchList,
     exact_name_override,
     match_list_as_dict,
+    name_ranks,
     normalize_name,
     retrieve,
     retrieve_from_vectors,
+    top_k,
     write_match_csv,
     write_match_json,
 )
 from colmatch.tables import Column, Table
+
+from oracles import top_k_longhand
 
 
 def _table(name, column_names):
@@ -184,3 +194,91 @@ class TestEmitters:
         assert len(rows) == 5
         assert rows[1][0] == "a"
         assert float(rows[1][2]) <= 1.0
+
+
+# a small pool forces ties at the k-th score, signed zeros and NaN cuts
+_tie_scores = st.sampled_from([0.5, 0.25, 0.0, -0.0, -0.5, math.nan])
+_any_score = st.one_of(_tie_scores, st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _score_matrix(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=7, unique=True))
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(_any_score, min_size=len(names), max_size=len(names))) for _ in range(n)]
+    return rows, names, draw(st.integers(1, len(names) + 2))
+
+
+class TestTopK:
+    @settings(max_examples=300)
+    @given(_score_matrix())
+    def test_equals_per_row_sort(self, case):
+        rows, names, k = case
+        got = top_k(np.array(rows, dtype=np.float64), name_ranks(names), k)
+        assert got.tolist() == top_k_longhand(rows, names, k)
+
+    def test_nan_at_the_cut_keeps_the_row_full(self):
+        scores = np.array([[math.nan, 0.2, math.nan, 0.9], [math.nan] * 4])
+        got = top_k(scores, name_ranks(["d", "c", "b", "a"]), 3)
+        assert got.tolist() == [[3, 1, 2], [3, 2, 1]]
+
+    def test_ties_at_the_cut_break_by_name(self):
+        scores = np.array([[0.1, 0.5, 0.5, 0.5, -0.0, 0.0]])
+        got = top_k(scores, name_ranks(["f", "e", "d", "c", "b", "a"]), 3)
+        assert got.tolist() == [[3, 2, 1]]
+        assert top_k(scores, name_ranks(["f", "e", "d", "c", "b", "a"]), 6).tolist() == [
+            [3, 2, 1, 0, 5, 4]
+        ]
+
+    def test_retrieve_keeps_min_k_m_entries_under_nan(self):
+        src = _table("s", ["p", "q"])
+        dst = _table("t", ["a", "b", "c"])
+        sv = np.array([[1.0, 0.0], [math.nan, 0.0]])
+        tv = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        out = retrieve_from_vectors(src, dst, sv, tv, k=2)
+        assert [c.target for c in out.candidates("p")] == ["a", "c"]
+        assert [c.target for c in out.candidates("q")] == ["a", "b"]
+        assert [c.rank for c in out.candidates("q")] == [1, 2]
+
+
+def _json_dump_reference(matches, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(match_list_as_dict(matches), fh, ensure_ascii=False, indent=2)
+        fh.write("\n")
+
+
+def _same_bytes_as_json_dump(matches):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.json", Path(tmp) / "want.json"
+        write_match_json(matches, got)
+        _json_dump_reference(matches, want)
+        return got.read_bytes() == want.read_bytes()
+
+
+class TestMatchJsonBytes:
+    def test_escapes_and_non_finite_scores(self):
+        names = ['quo"te', "back\\slash", "ctl\x00\x1f\t\n", "naïve ☃ 名前", "\u2028"]
+        scores = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2]
+        per_source = {
+            src: [
+                MatchCandidate(src, tgt, scores[(i + j) % len(scores)], j + 1)
+                for j, tgt in enumerate(names)
+            ]
+            for i, src in enumerate(names)
+        }
+        assert _same_bytes_as_json_dump(MatchList('t"ab\\le', "é", per_source, 5))
+
+    def test_empty_match_list(self):
+        assert _same_bytes_as_json_dump(MatchList("s", "t", {}, 20))
+        assert _same_bytes_as_json_dump(MatchList("s", "t", {"a": []}, 20))
+
+    @settings(max_examples=100)
+    @given(
+        st.text(),
+        st.lists(st.tuples(st.text(), st.text(), st.floats(), st.integers(1, 10**6)), max_size=6),
+    )
+    def test_equals_json_dump(self, table, entries):
+        per_source = {}
+        for src, tgt, score, rank in entries:
+            per_source.setdefault(src, []).append(MatchCandidate(src, tgt, score, rank))
+        assert _same_bytes_as_json_dump(MatchList(table, table[::-1], per_source, 20))
