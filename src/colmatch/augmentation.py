@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .rerank_llm import LlmTransportError, RecordingLlmClient
+from .rerank_llm import LlmTransportError
 from .sampling import SamplerConfig, fnv1a64, sample_values
 from .tables import Column, Table
 
@@ -222,7 +222,6 @@ def build_classes(
     n_semantic: int = DEFAULT_N_SEMANTIC,
     seed: int = 0,
     client=None,
-    transcript_path=None,
     sampling: Optional[SamplerConfig] = None,
     max_concurrent: int = 4,
 ) -> list:
@@ -234,8 +233,6 @@ def build_classes(
     if not target.columns:
         raise ValueError("target table must have at least one column")
     sampling = sampling or SamplerConfig(strategy="priority", sample_size=10, seed=seed)
-    if client is not None and transcript_path is not None:
-        client = RecordingLlmClient(client, transcript_path)
     if client is None and n_semantic > 0:
         log.warning("no LLM client configured; classes will be structural only")
 

@@ -19,7 +19,7 @@ from .augmentation import build_classes, load_classes, write_classes
 from .embedding import EmbeddingProviderConfig, ProviderError, get_provider
 from .finetune import TrainConfig, train, save_head
 from .metrics import evaluate, write_report
-from .pipeline import PRESETS, PipelineConfig, run_pipeline
+from .pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
 from .rerank_llm import HttpLlmClient, LlmConfig, RecordingLlmClient, ReplayLlmClient
 from .retrieval import write_match_csv, write_match_json
 from .sampling import STRATEGIES, SamplerConfig
@@ -60,7 +60,7 @@ def _pipeline_flags(parser: argparse.ArgumentParser) -> None:
         choices=FORMATS,
     )
     parser.add_argument("--repeat-k", type=int, dest="repeat_k")
-    parser.add_argument("--reranker", choices=("none", "bipartite", "llm"))
+    parser.add_argument("--reranker", choices=RERANKERS)
     parser.add_argument("--llm-endpoint", dest="llm_endpoint")
     parser.add_argument("--llm-model", dest="llm_model")
     parser.add_argument("--llm-top-k", type=int, dest="llm_top_k")
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.set_defaults(func=cmd_finetune)
 
     p_abl = sub.add_parser("ablate", help="run a grid of pipeline variants and aggregate")
-    common(p_abl)
+    p_abl.add_argument("--seed", type=int)  # every other setting comes from the grid file
     p_abl.add_argument("--grid", required=True)
     p_abl.add_argument("--out", required=True)
     p_abl.set_defaults(func=cmd_ablate)
@@ -151,7 +151,11 @@ def _flag(args, name, file_cfg, *keys, default=None):
 
 
 def resolve_config(args) -> PipelineConfig:
-    """defaults < config file < preset < explicit flags."""
+    """defaults < config file < preset < explicit flags.
+
+    Every subcommand but ablate takes its seed, provider and LLM settings
+    from here; flags a subcommand does not define count as absent.
+    """
     file_cfg = _file_config(args)
     seed = args.seed if args.seed is not None else int(_get(file_cfg, "seed", default=0))
 
@@ -210,22 +214,22 @@ def resolve_config(args) -> PipelineConfig:
     )
 
 
-def _llm_client(args):
-    client = None
-    if getattr(args, "replay", None):
+def _llm_client(args, llm):
+    """Replay when --replay is given, else HTTP on the resolved config; --record wraps either."""
+    if args.replay:
         client = ReplayLlmClient(args.replay)
-    if getattr(args, "record", None) and client is not None:
-        client = RecordingLlmClient(client, args.record)
-    elif getattr(args, "record", None) and getattr(args, "llm_endpoint", None):
-        client = RecordingLlmClient(HttpLlmClient(LlmConfig(endpoint=args.llm_endpoint)), args.record)
-    return client
+    elif llm is not None:
+        client = HttpLlmClient(llm)
+    else:
+        return None
+    return RecordingLlmClient(client, args.record) if args.record else client
 
 
 def cmd_match(args) -> int:
     config = resolve_config(args)
     source = load_table(args.source)
     target = load_table(args.target)
-    matches = run_pipeline(source, target, config, llm_client=_llm_client(args))
+    matches = run_pipeline(source, target, config, llm_client=_llm_client(args, config.llm))
     json_path = Path(f"{args.out}.json")
     csv_path = Path(f"{args.out}.csv")
     write_match_json(matches, json_path)
@@ -239,7 +243,7 @@ def cmd_evaluate(args) -> int:
     source = load_table(args.source)
     target = load_table(args.target)
     gt = load_ground_truth(args.ground_truth)
-    report = evaluate(source, target, gt, config, llm_client=_llm_client(args))
+    report = evaluate(source, target, gt, config, llm_client=_llm_client(args, config.llm))
     print(report.as_text())
     if args.report:
         write_report(report, args.report)
@@ -248,41 +252,20 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    file_cfg = _file_config(args)
-    seed = args.seed if args.seed is not None else int(_get(file_cfg, "seed", default=0))
+    config = resolve_config(args)
     target = load_table(args.target)
-    client = None
-    if not args.no_llm:
-        if args.replay:
-            client = ReplayLlmClient(args.replay)
-        else:
-            endpoint = args.llm_endpoint or _get(file_cfg, "llm", "endpoint")
-            if endpoint is not None:
-                client = HttpLlmClient(
-                    LlmConfig(
-                        endpoint=endpoint,
-                        model=args.llm_model or _get(file_cfg, "llm", "model", default="default"),
-                    )
-                )
-    classes = build_classes(target, seed=seed, client=client, transcript_path=args.record)
+    client = None if args.no_llm else _llm_client(args, config.llm)
+    classes = build_classes(target, seed=config.seed, client=client)
     write_classes(classes, args.out)
     print(f"wrote {len(classes)} classes to {args.out}")
     return 0
 
 
 def cmd_finetune(args) -> int:
-    file_cfg = _file_config(args)
-    seed = args.seed if args.seed is not None else int(_get(file_cfg, "seed", default=0))
+    config = resolve_config(args)
     classes = load_classes(args.classes)
-    provider = get_provider(
-        EmbeddingProviderConfig(
-            kind=_get(file_cfg, "provider", "kind", default="hash"),
-            dimension=_get(file_cfg, "provider", "dimension"),
-            endpoint=_get(file_cfg, "provider", "endpoint"),
-            cache_path=_get(file_cfg, "provider", "cache_path"),
-        )
-    )
-    kwargs = {"seed": seed}
+    provider = get_provider(config.provider)
+    kwargs = {"seed": config.seed}
     if args.epochs is not None:
         kwargs["epochs"] = args.epochs
     head = train(classes, provider, TrainConfig(**kwargs))

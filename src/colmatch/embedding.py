@@ -3,7 +3,7 @@
 Two kinds: a built-in deterministic feature-hashing embedder (`hash`), which
 is the offline default, and a JSON-over-HTTP provider (`remote`).  Both
 return unit-norm vectors; degenerate all-zero embeddings fall back to the
-basis vector e_0.  Results can be cached on disk keyed by (provider, text).
+basis vector e_0.  CachedProvider keeps results on disk keyed by (provider, text).
 """
 
 from __future__ import annotations
@@ -150,21 +150,9 @@ class HashProvider:
 
     def __init__(self, config: EmbeddingProviderConfig) -> None:
         self.dimension = config.dimension or DEFAULT_DIMENSION
-        self._id = config.provider_id()
-        self._cache = VectorCache(config.cache_path) if config.cache_path else None
 
     def embed(self, texts: Sequence[str]) -> list:
-        out = []
-        for text in texts:
-            if self._cache is not None:
-                key = VectorCache.key(self._id, text)
-                vec = self._cache.get(key)
-                if vec is None:
-                    vec = self._cache.put(key, hash_embed(text, self.dimension))
-                out.append(vec)
-            else:
-                out.append(hash_embed(text, self.dimension))
-        return out
+        return [hash_embed(text, self.dimension) for text in texts]
 
 
 class RemoteProvider:
@@ -181,27 +169,12 @@ class RemoteProvider:
         endpoint = config.endpoint.rstrip("/")
         self.url = endpoint if endpoint.endswith("/embed") else endpoint + "/embed"
         self.dimension = config.dimension  # None until first response
-        self._id = config.provider_id()
-        self._cache = VectorCache(config.cache_path) if config.cache_path else None
 
     def embed(self, texts: Sequence[str]) -> list:
-        out: list = [None] * len(texts)
-        pending = []
-        for i, text in enumerate(texts):
-            if self._cache is not None:
-                vec = self._cache.get(VectorCache.key(self._id, text))
-                if vec is not None:
-                    out[i] = vec
-                    continue
-            pending.append(i)
-        for start in range(0, len(pending), self.config.batch_size):
-            chunk = pending[start : start + self.config.batch_size]
-            vectors = self._request([texts[i] for i in chunk])
-            for i, vec in zip(chunk, vectors):
-                vec = normalized(vec)
-                if self._cache is not None:
-                    vec = self._cache.put(VectorCache.key(self._id, texts[i]), vec)
-                out[i] = vec
+        out = []
+        for start in range(0, len(texts), self.config.batch_size):
+            batch = texts[start : start + self.config.batch_size]
+            out.extend(normalized(vec) for vec in self._request(batch))
         return out
 
     def _request(self, batch: list) -> list:
@@ -241,11 +214,43 @@ class RemoteProvider:
         )
 
 
+class CachedProvider:
+    """A provider whose vectors are kept in a VectorCache under `provider_id`.
+
+    Every text is looked up first; the distinct misses then reach `inner`
+    in one embed call, in first-occurrence order, and are stored in that
+    order.  Returned vectors are the float32-rounded ones the cache holds.
+    """
+
+    def __init__(self, inner, cache_path, provider_id: str) -> None:
+        self.inner = inner
+        self._cache = VectorCache(cache_path)
+        self._id = provider_id
+
+    @property
+    def dimension(self):
+        return self.inner.dimension  # a remote provider learns it from its first response
+
+    def embed(self, texts: Sequence[str]) -> list:
+        keys = [VectorCache.key(self._id, text) for text in texts]
+        out = [self._cache.get(key) for key in keys]
+        misses = list(dict.fromkeys(t for t, vec in zip(texts, out) if vec is None))
+        if not misses:
+            return out
+        fresh = dict(zip(misses, self.inner.embed(misses)))
+        # put() stores a text once and returns a fresh rounded copy per occurrence
+        return [
+            self._cache.put(key, fresh[text]) if vec is None else vec
+            for text, key, vec in zip(texts, keys, out)
+        ]
+
+
 def get_provider(config: Optional[EmbeddingProviderConfig] = None):
     config = config or EmbeddingProviderConfig()
-    if config.kind == "hash":
-        return HashProvider(config)
-    return RemoteProvider(config)
+    provider = HashProvider(config) if config.kind == "hash" else RemoteProvider(config)
+    if config.cache_path:
+        provider = CachedProvider(provider, config.cache_path, config.provider_id())
+    return provider
 
 
 def embed_batch(texts: Sequence[str], config: Optional[EmbeddingProviderConfig] = None) -> list:

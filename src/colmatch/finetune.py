@@ -31,7 +31,7 @@ log = logging.getLogger(__name__)
 MINE_CATEGORIES = ("semi_hard_negative", "hardest_negative", "hard_positive_pair", "easy")
 
 SCORE_TOLERANCE = 1e-9
-REQUIRED_PATIENCE = 5
+PATIENCE = 5  # epochs without a validation change before training stops
 MIN_CLASSES = 4
 
 
@@ -119,7 +119,6 @@ class TrainConfig:
     epochs: int = 30
     batch_p: int = 4
     batch_k: int = 3
-    patience: int = REQUIRED_PATIENCE
     val_fraction: float = 0.2
     seed: int = 0
 
@@ -132,8 +131,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_p < 2 or self.batch_k < 2:
             raise ValueError("batch shape needs P >= 2 and K >= 2")
-        if self.patience != REQUIRED_PATIENCE:
-            raise ValueError(f"patience is fixed at {REQUIRED_PATIENCE}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
 
@@ -380,7 +377,7 @@ def train(
             best_matrix = matrix.copy()
         if abs(score - previous_score) <= SCORE_TOLERANCE:
             unchanged_streak += 1
-            if unchanged_streak >= config.patience:
+            if unchanged_streak >= PATIENCE:
                 log.debug("early stop at epoch %d", epoch)
                 break
         else:

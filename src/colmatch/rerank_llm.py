@@ -17,11 +17,11 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import requests
 
+from .linestore import LineStore
 from .retrieval import MatchCandidate, MatchList
 
 log = logging.getLogger(__name__)
@@ -30,7 +30,7 @@ DEFAULT_TOP_K = 20
 RETRY_ATTEMPTS = 3
 LEFTOVER_EPSILON = 1e-9
 API_KEY_ENV = "LLM_API_KEY"
-DEFAULT_TIMEOUT_SECONDS = 60.0
+REQUEST_TIMEOUT_SECONDS = 60.0
 DEFAULT_MAX_CONCURRENT = 4
 
 INSTRUCTION_BLOCK = (
@@ -75,8 +75,6 @@ class LlmConfig:
     endpoint: str
     model: str = "default"
     temperature: float = 0.0
-    retries: int = RETRY_ATTEMPTS
-    timeout: float = DEFAULT_TIMEOUT_SECONDS
     max_concurrent: int = DEFAULT_MAX_CONCURRENT
 
     def __post_init__(self) -> None:
@@ -84,8 +82,6 @@ class LlmConfig:
             raise ValueError("llm endpoint required")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.retries != RETRY_ATTEMPTS:
-            raise ValueError("retries is fixed at 3")
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
 
@@ -154,7 +150,7 @@ class HttpLlmClient:
                 self.config.endpoint,
                 json=payload,
                 headers=headers,
-                timeout=self.config.timeout,
+                timeout=REQUEST_TIMEOUT_SECONDS,
             )
             resp.raise_for_status()
             content = resp.json()["choices"][0]["message"]["content"]
@@ -173,19 +169,19 @@ class ReplayLlmClient:
     """Replays recorded responses from a JSONL transcript.
 
     Each line is {"prompt": .., "response": ..}; repeated prompts are served
-    in recording order, re-serving the last response when exhausted.  An
-    unknown prompt raises LlmTransportError, which upstream treats like any
-    failed attempt.
+    in recording order, re-serving the last response when exhausted.  A last
+    line torn by a crashed recording is ignored.  An unknown prompt raises
+    LlmTransportError, which upstream treats like any failed attempt.
     """
 
     def __init__(self, path) -> None:
         self._responses = {}
         self._cursor = {}
         self._lock = threading.Lock()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
+        store = LineStore(path, json.loads)
+        if not store.path.is_file():
+            raise FileNotFoundError(f"replay transcript not found: {path}")
+        for record in store.read():
             self._responses.setdefault(record["prompt"], []).append(record["response"])
 
     def complete(self, prompt: str) -> str:
@@ -199,25 +195,27 @@ class ReplayLlmClient:
 
 
 class RecordingLlmClient:
-    """Wraps a client and appends successful exchanges to a JSONL transcript."""
+    """Wraps a client and appends successful exchanges to a JSONL transcript.
+
+    A last line torn by an earlier crashed recording is cut off before the
+    first new exchange is appended, so it cannot merge with it.
+    """
 
     def __init__(self, inner, path) -> None:
         self.inner = inner
-        self.path = Path(path)
+        self._store = LineStore(path, json.loads)
+        self._store.read()
         self._lock = threading.Lock()
 
     def complete(self, prompt: str) -> str:
         response = self.inner.complete(prompt)
         record = json.dumps({"prompt": prompt, "response": response}, ensure_ascii=False)
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(record + "\n")
+            self._store.append(record)
         return response
 
 
-def _rerank_column(
-    candidates, source_name, source_samples, target_samples, client, retries, n_send
-):
+def _rerank_column(candidates, source_name, source_samples, target_samples, client, n_send):
     if not candidates:
         return []
     sent = candidates[:n_send]
@@ -227,7 +225,7 @@ def _rerank_column(
     )
     log.debug("rerank prompt for %r: ~%d tokens", source_name, len(prompt.split()))
     parsed = None
-    for attempt in range(retries):
+    for attempt in range(RETRY_ATTEMPTS):
         try:
             parsed = parse_response(client.complete(prompt))
             break
@@ -292,7 +290,6 @@ def rerank_llm(
         if config is None:
             raise ValueError("llm endpoint required")
         client = HttpLlmClient(config)
-    retries = config.retries if config is not None else RETRY_ATTEMPTS
     max_workers = config.max_concurrent if config is not None else DEFAULT_MAX_CONCURRENT
 
     sources = list(matches.per_source)
@@ -304,7 +301,6 @@ def rerank_llm(
             source_samples,
             target_samples,
             client,
-            retries,
             n_send,
         )
 

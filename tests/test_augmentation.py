@@ -15,7 +15,7 @@ from colmatch.augmentation import (
     structural_variants,
     write_classes,
 )
-from colmatch.rerank_llm import LlmTransportError
+from colmatch.rerank_llm import LlmTransportError, RecordingLlmClient
 from colmatch.tables import Column, Table
 
 
@@ -262,12 +262,11 @@ class TestBuildClasses:
         import json
 
         path = tmp_path / "aug.jsonl"
-        client = FakeClient(["alt, p, q"])
+        client = RecordingLlmClient(FakeClient(["alt, p, q"]), path)
         build_classes(
             Table("t", (Column("only", ("a", "b")),)),
             seed=0,
             client=client,
-            transcript_path=path,
             max_concurrent=1,
         )
         lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]

@@ -7,12 +7,26 @@ import pytest
 from colmatch import embedding
 from colmatch.augmentation import load_classes
 from colmatch.cli import EPILOG, build_parser, main, resolve_config
+from colmatch.embedding import hash_embed
 from colmatch.finetune import load_head
 from colmatch.rerank_llm import RecordingLlmClient
 from colmatch.pipeline import PipelineConfig, run_pipeline
 from colmatch.tables import load_table
 
 from helpers import ScriptedLlmClient, identity_pair, write_csv
+from stubs import JsonStubServer
+
+
+def chat_handler(path, body):
+    """A chat-completion endpoint answering every prompt like ScriptedLlmClient."""
+    content = ScriptedLlmClient().complete(body["messages"][0]["content"])
+    return 200, {"choices": [{"message": {"content": content}}]}
+
+
+def write_config(path, config):
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
 
 ALL_FLAGS = [
     "--sampling",
@@ -157,6 +171,38 @@ class TestMatch:
         flat = [(m["source"], m["target"], m["score"], m["rank"]) for m in payload["matches"]]
         expected = [(c.source, c.target, c.score, c.rank) for c in live.flat()]
         assert flat == expected
+
+
+class TestRecord:
+    def test_record_sends_the_flag_model_and_the_file_temperature(self, tmp_path, pair):
+        source, target, _ = pair
+        transcript = tmp_path / "t.jsonl"
+        config = write_config(tmp_path / "cfg.json", {"llm": {"temperature": 0.3}})
+        with JsonStubServer(chat_handler) as server:
+            code = main(
+                ["match", str(source), str(target), "--out", str(tmp_path / "m"),
+                 "--reranker", "llm", "--config", config, "--llm-endpoint", server.url,
+                 "--llm-model", "m-big", "--record", str(transcript)]
+            )
+            bodies = [body for _, body, _ in server.requests]
+        assert code == 0
+        assert len(bodies) == 4
+        assert {(b["model"], b["temperature"]) for b in bodies} == {("m-big", 0.3)}
+        assert len(transcript.read_text(encoding="utf-8").splitlines()) == 4
+
+    def test_record_with_the_endpoint_in_the_config_file(self, tmp_path, pair):
+        source, target, _ = pair
+        transcript = tmp_path / "t.jsonl"
+        with JsonStubServer(chat_handler) as server:
+            config = write_config(tmp_path / "cfg.json", {"llm": {"endpoint": server.url}})
+            code = main(
+                ["match", str(source), str(target), "--out", str(tmp_path / "m"),
+                 "--reranker", "llm", "--config", config, "--record", str(transcript)]
+            )
+        assert code == 0
+        records = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 4
+        assert all(r["response"].startswith("col_") for r in records)
 
 
 class TestEvaluate:
@@ -343,6 +389,43 @@ class TestAugmentFinetuneRoundTrip:
         assert code == 1
         assert "at least 4 classes" in capsys.readouterr().err
 
+    def test_finetune_keeps_the_config_file_batch_size(self, tmp_path, pair):
+        _, target, _ = pair
+        classes_path = tmp_path / "classes.jsonl"
+        main(["augment", str(target), "--no-llm", "--out", str(classes_path)])
+
+        def handler(path, body):
+            vectors = [hash_embed(t, 8).tolist() for t in body["texts"]]
+            return 200, {"dimension": 8, "vectors": vectors}
+
+        with JsonStubServer(handler) as server:
+            provider = {"kind": "remote", "endpoint": server.url, "batch_size": 2}
+            config = write_config(tmp_path / "cfg.json", {"provider": provider})
+            code = main(
+                ["finetune", "--classes", str(classes_path), "--out", str(tmp_path / "head.bin"),
+                 "--epochs", "1", "--config", config]
+            )
+            sizes = [len(body["texts"]) for _, body, _ in server.requests]
+        assert code == 0
+        assert load_head(tmp_path / "head.bin").dimension == 8
+        assert sum(sizes) == 12 and max(sizes) == 2
+
+    def test_augment_takes_the_llm_section_of_the_config_file(self, tmp_path, pair):
+        _, target, _ = pair
+
+        def handler(path, body):
+            return 200, {"choices": [{"message": {"content": "alt, a, b"}}]}
+
+        with JsonStubServer(handler) as server:
+            llm = {"endpoint": server.url, "model": "m-aug", "temperature": 0.7}
+            config = write_config(tmp_path / "cfg.json", {"llm": llm})
+            out = str(tmp_path / "c.jsonl")
+            code = main(["augment", str(target), "--out", out, "--config", config])
+            bodies = [body for _, body, _ in server.requests]
+        assert code == 0
+        assert len(bodies) == 4
+        assert {(b["model"], b["temperature"]) for b in bodies} == {("m-aug", 0.7)}
+
     def test_augment_with_replay_adds_semantic_members(self, tmp_path, pair):
         _, target, _ = pair
         transcript = tmp_path / "aug.jsonl"
@@ -413,6 +496,12 @@ class TestAblateCommand:
         out = capsys.readouterr().out
         assert "MRR" in out
         assert "2 cells" in out
+
+    def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--grid", "g.json", "--out", str(tmp_path), "--config", "c.json"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
 
 class TestConsoleScript:

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 import colmatch.embedding as embedding
 from colmatch.embedding import (
+    CachedProvider,
     EmbeddingProviderConfig,
     ProviderError,
     VectorCache,
@@ -245,6 +246,72 @@ class TestRemoteProvider:
             assert len(server.requests) == n_after_first
         for f, s in zip(first, second):
             assert f.tobytes() == s.tobytes()
+
+
+class SpyProvider:
+    """Records every embed call; embeds with hash_embed at dimension 4."""
+
+    dimension = 4
+
+    def __init__(self):
+        self.calls = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return [hash_embed(t, self.dimension) for t in texts]
+
+
+class TestCachedProvider:
+    # the cache file the earlier per-provider cache code wrote for these texts
+    FROZEN = (
+        b"1472164d7bc2e3a96bfd2b3c83a47bfa240c9da5c16d563564b2458fb9e2a127  8wQ1vwAAAAAAAAAA8wQ1Pw==\n"
+        b"63035ee0686b623463acdabeba122a4f12c34c948c01e649462a19e5880f9133  LvlkvwAAAAAAAAAALvnkPg==\n"
+        b"7bc3ecd7d78cd9550de3984e7244230f3a362b6817f0cb9b39f505d842b9c919  LvnkvgAAAAAu+WS/AAAAAA==\n"
+    )
+
+    def test_hits_never_reach_the_inner_provider(self, tmp_path):
+        cache = tmp_path / "vectors.cache"
+        CachedProvider(SpyProvider(), cache, "spy").embed(["alpha", "beta"])
+        spy = SpyProvider()
+        warm = CachedProvider(spy, cache, "spy")
+        warm.embed(["beta", "alpha", "beta"])
+        assert spy.calls == []
+        warm.embed(["alpha", "gamma"])
+        assert spy.calls == [["gamma"]]
+
+    def test_each_distinct_miss_reaches_the_inner_provider_once_in_order(self, tmp_path):
+        spy = SpyProvider()
+        provider = CachedProvider(spy, tmp_path / "vectors.cache", "spy")
+        out = provider.embed(["beta", "alpha", "beta", "gamma", "alpha"])
+        assert spy.calls == [["beta", "alpha", "gamma"]]
+        assert out[0].tobytes() == out[2].tobytes() and out[0] is not out[2]
+        rounded = hash_embed("alpha", 4).astype("<f4").astype(np.float64)
+        assert out[1].tobytes() == rounded.tobytes()
+
+    def test_cache_file_bytes_unchanged(self, tmp_path):
+        cache = tmp_path / "vectors.cache"
+        cfg = EmbeddingProviderConfig(dimension=4, cache_path=str(cache))
+        embed_batch(["beta", "alpha", "beta", "gamma", "alpha"], cfg)
+        assert cache.read_bytes() == self.FROZEN
+
+    def test_remote_misses_still_split_by_batch_size(self, tmp_path):
+        def handler(path, body):
+            return 200, {"dimension": 2, "vectors": [[1.0, 0.0]] * len(body["texts"])}
+
+        with JsonStubServer(handler) as server:
+            cfg = EmbeddingProviderConfig(
+                kind="remote",
+                endpoint=server.url,
+                batch_size=2,
+                cache_path=str(tmp_path / "remote.cache"),
+            )
+            provider = get_provider(cfg)
+            assert provider.dimension is None
+            provider.embed(["a", "b"])
+            assert provider.dimension == 2  # learnt from the first response
+            provider.embed(["a", "c", "d", "c", "e", "b"])
+            sent = [body["texts"] for _, body, _ in server.requests]
+        assert sent == [["a", "b"], ["c", "d"], ["e"]]
 
 
 class TestVectorCacheKey:

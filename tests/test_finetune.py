@@ -318,7 +318,6 @@ class TestTrainConfig:
         assert config.margin == 0.5
         assert config.learning_rate == 0.05
         assert config.epochs == 30
-        assert config.patience == 5
         assert config.val_fraction == 0.2
 
     @pytest.mark.parametrize(
@@ -329,8 +328,6 @@ class TestTrainConfig:
             {"epochs": 0},
             {"batch_p": 1},
             {"batch_k": 1},
-            {"patience": 4},
-            {"patience": 6},
             {"val_fraction": 0.0},
             {"val_fraction": 1.0},
         ],

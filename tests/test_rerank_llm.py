@@ -277,10 +277,6 @@ class TestLlmConfig:
         with pytest.raises(ValueError, match="endpoint"):
             LlmConfig(endpoint="")
 
-    def test_retries_fixed(self):
-        with pytest.raises(ValueError):
-            LlmConfig(endpoint="http://x", retries=5)
-
     def test_temperature_nonnegative(self):
         with pytest.raises(ValueError):
             LlmConfig(endpoint="http://x", temperature=-0.1)
@@ -362,3 +358,30 @@ class TestReplayAndRecording:
         assert replay.complete("p") == "first"
         assert replay.complete("p") == "second"
         assert replay.complete("p") == "second"  # exhausted: last one repeats
+
+    def test_replay_ignores_a_torn_last_line(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text(
+            json.dumps({"prompt": "a", "response": "A(0.90)"}) + '\n{"prompt": "b", "resp',
+            encoding="utf-8",
+        )
+        replay = ReplayLlmClient(transcript)
+        assert replay.complete("a") == "A(0.90)"
+        with pytest.raises(LlmTransportError):
+            replay.complete("b")
+
+    def test_recording_cuts_a_torn_tail_before_appending(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        intact = json.dumps({"prompt": "a", "response": "A(0.90)"}) + "\n"
+        transcript.write_text(intact + '{"prompt": "b", "resp', encoding="utf-8")
+        recorded = RecordingLlmClient(FakeClient(["B(0.10)"]), transcript)
+        recorded.complete("b")
+        record = json.dumps({"prompt": "b", "response": "B(0.10)"}) + "\n"
+        assert transcript.read_text(encoding="utf-8") == intact + record
+        replay = ReplayLlmClient(transcript)
+        assert replay.complete("a") == "A(0.90)"
+        assert replay.complete("b") == "B(0.10)"
+
+    def test_missing_replay_file_is_an_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ReplayLlmClient(tmp_path / "absent.jsonl")
