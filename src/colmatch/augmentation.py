@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .rerank_llm import LlmTransportError
+from .rerank_llm import LlmParseError, complete_with_retries
 from .sampling import SamplerConfig, fnv1a64, sample_values
 from .tables import Column, Table
 
@@ -30,7 +30,6 @@ DEFAULT_N_STRUCTURAL = 2
 DEFAULT_N_SEMANTIC = 3
 MAX_VALUES_PER_VARIANT = 15
 MAX_VARIANTS_PER_RESPONSE = 3
-PARSE_ATTEMPTS = 3
 MAX_REDRAWS = 5
 
 _NAME_EDIT_ALPHABET = "abcdefghijklmnopqrstuvwxyz_"
@@ -54,7 +53,7 @@ FORMAT_BLOCK = (
 )
 
 
-class AugmentationParseError(ValueError):
+class AugmentationParseError(LlmParseError):
     """LLM response did not contain a single usable segment."""
 
 
@@ -94,9 +93,7 @@ def _child_rng(seed: int, *parts) -> random.Random:
 
 def _perturb_values(values: Sequence[str], rng: random.Random) -> list:
     pool = list(values)
-    for i in range(len(pool) - 1, 0, -1):  # Fisher-Yates, stable across runs
-        j = rng.randrange(i + 1)
-        pool[i], pool[j] = pool[j], pool[i]
+    rng.shuffle(pool)
     if not pool:
         return pool
     low = max(1, math.ceil(0.5 * len(pool)))
@@ -127,12 +124,7 @@ def structural_variants(column: Column, count: int, seed: int) -> list:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    base_values = []
-    seen = set()
-    for v in column.non_missing():
-        if v not in seen:
-            seen.add(v)
-            base_values.append(v)
+    base_values = list(dict.fromkeys(column.non_missing()))
     anchor = (column.name, tuple(base_values))
     out = []
     for i in range(count):
@@ -149,9 +141,7 @@ def structural_variants(column: Column, count: int, seed: int) -> list:
         if variant == anchor:
             rng = _child_rng(seed, column.name, i, "accept")
             shuffled = list(variant[1])
-            for j in range(len(shuffled) - 1, 0, -1):
-                k = rng.randrange(j + 1)
-                shuffled[j], shuffled[k] = shuffled[k], shuffled[j]
+            rng.shuffle(shuffled)
             variant = (variant[0], tuple(shuffled))
         out.append((variant[0], list(variant[1])))
     return out
@@ -188,17 +178,14 @@ def parse_augmentation_response(text: str) -> list:
 
 def _semantic_variants(name, sample, client, n_semantic, seed):
     prompt = build_augmentation_prompt(name, sample)
-    for attempt in range(PARSE_ATTEMPTS):
-        try:
-            parsed = parse_augmentation_response(client.complete(prompt))
-            return [
-                _distinct_from_anchor(name, sample, vname, values, seed, idx)
-                for idx, (vname, values) in enumerate(parsed[:n_semantic])
-            ]
-        except (LlmTransportError, AugmentationParseError) as exc:
-            log.debug("augmentation attempt %d for %r failed: %s", attempt + 1, name, exc)
-    log.warning("LLM augmentation failed for column %r; keeping structural variants only", name)
-    return []
+    parsed = complete_with_retries(client, prompt, parse_augmentation_response, name)
+    if parsed is None:
+        log.warning("LLM augmentation failed for column %r; keeping structural variants only", name)
+        return []
+    return [
+        _distinct_from_anchor(name, sample, vname, values, seed, idx)
+        for idx, (vname, values) in enumerate(parsed[:n_semantic])
+    ]
 
 
 def _distinct_from_anchor(anchor_name, anchor_values, name, values, seed, idx):
@@ -208,9 +195,7 @@ def _distinct_from_anchor(anchor_name, anchor_values, name, values, seed, idx):
     while candidate == anchor and redraws < MAX_REDRAWS:
         rng = _child_rng(seed, anchor_name, "semantic", idx, redraws)
         shuffled = list(candidate[1])
-        for j in range(len(shuffled) - 1, 0, -1):
-            k = rng.randrange(j + 1)
-            shuffled[j], shuffled[k] = shuffled[k], shuffled[j]
+        rng.shuffle(shuffled)
         candidate = (candidate[0], tuple(shuffled))
         redraws += 1
     return candidate[0], list(candidate[1])

@@ -28,8 +28,6 @@ from .tables import Column, GroundTruth, infer_type
 
 log = logging.getLogger(__name__)
 
-MINE_CATEGORIES = ("semi_hard_negative", "hardest_negative", "hard_positive_pair", "easy")
-
 SCORE_TOLERANCE = 1e-9
 PATIENCE = 5  # epochs without a validation change before training stops
 MIN_CLASSES = 4
@@ -62,22 +60,34 @@ class ProjectionHead:
 
 
 class ProjectedProvider:
-    """Embedding provider that runs a head on top of a base provider."""
+    """Embedding provider that runs a head on top of a base provider.
+
+    A remote provider may learn its dimension from its first response; the
+    head is then checked against the width of the first vectors returned.
+    """
 
     def __init__(self, base, head: ProjectionHead):
-        if head.dimension != base.dimension:
-            raise ValueError(
-                f"head dimension {head.dimension} does not match provider dimension {base.dimension}"
-            )
+        if base.dimension is not None:
+            self._check_width(head, base.dimension)
         self.base = base
         self.head = head
+
+    @staticmethod
+    def _check_width(head: ProjectionHead, width: int) -> None:
+        if head.dimension != width:
+            raise ValueError(
+                f"head dimension {head.dimension} does not match provider dimension {width}"
+            )
 
     @property
     def dimension(self) -> int:
         return self.base.dimension
 
     def embed(self, texts: Sequence[str]) -> list:
-        return [self.head.apply(v) for v in self.base.embed(texts)]
+        vectors = self.base.embed(texts)
+        if vectors:
+            self._check_width(self.head, len(vectors[0]))
+        return [self.head.apply(v) for v in vectors]
 
 
 @dataclass(eq=False)
@@ -135,29 +145,18 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cosine similarity; in [0, 2] for unit vectors."""
-    return 1.0 - float(np.dot(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
-
-
 def _distance_matrix(embeddings: np.ndarray) -> np.ndarray:
     return 1.0 - embeddings @ embeddings.T
 
 
 def _hardest_pairs(distances: np.ndarray, labels: Sequence[int]) -> list:
     labels = np.asarray(labels)
-    pairs = []
-    for a in range(len(labels)):
-        same = (labels == labels[a]) & (np.arange(len(labels)) != a)
-        diff = labels != labels[a]
-        pos_idx = np.flatnonzero(same)
-        neg_idx = np.flatnonzero(diff)
-        # np.argmax/argmin take the first occurrence, so ties resolve to the
-        # smallest index deterministically
-        p = int(pos_idx[np.argmax(distances[a, pos_idx])])
-        n = int(neg_idx[np.argmin(distances[a, neg_idx])])
-        pairs.append((p, n))
-    return pairs
+    same = labels[:, None] == labels[None, :]
+    # argmax/argmin take the first occurrence, so ties resolve to the
+    # smallest index deterministically
+    positives = np.where(same & ~np.eye(len(labels), dtype=bool), distances, -np.inf).argmax(1)
+    negatives = np.where(same, np.inf, distances).argmin(1)
+    return list(zip(positives.tolist(), negatives.tolist()))
 
 
 def batch_hard_loss(batch: TripletBatch, margin: float):
@@ -167,10 +166,10 @@ def batch_hard_loss(batch: TripletBatch, margin: float):
     """
     distances = _distance_matrix(batch.embeddings)
     hardest = _hardest_pairs(distances, batch.labels)
-    loss = 0.0
-    for a, (p, n) in enumerate(hardest):
-        loss += max(0.0, margin + distances[a, p] - distances[a, n])
-    return loss, hardest
+    positives, negatives = np.array(hardest).T
+    anchors = np.arange(len(hardest))
+    hinge = np.maximum(0.0, margin + distances[anchors, positives] - distances[anchors, negatives])
+    return float(hinge.sum()), hardest
 
 
 def mine_category(a: int, p: int, n: int, batch: TripletBatch, margin: float) -> str:
@@ -216,35 +215,28 @@ def loss_gradient(batch: TripletBatch, margin: float, matrix: np.ndarray) -> np.
     vectors = batch.embeddings
     unit, norms = _project_rows(matrix, vectors)
     distances = _distance_matrix(unit)
-    hardest = _hardest_pairs(distances, batch.labels)
+    positives, negatives = np.array(_hardest_pairs(distances, batch.labels)).T
+    anchors = np.arange(len(vectors))
+    active = margin + distances[anchors, positives] - distances[anchors, negatives] > 0.0
 
-    grad_unit = np.zeros_like(unit)
-    for a, (p, n) in enumerate(hardest):
-        term = margin + distances[a, p] - distances[a, n]
-        if term <= 0.0:
-            continue
-        # term = margin - u_a.u_p + u_a.u_n
-        grad_unit[a] += unit[n] - unit[p]
-        grad_unit[p] -= unit[a]
-        grad_unit[n] += unit[a]
+    # term = margin - u_a.u_p + u_a.u_n, for every anchor whose hinge is active
+    grad_unit = np.where(active[:, None], unit[negatives] - unit[positives], 0.0)
+    np.add.at(grad_unit, positives[active], -unit[active])
+    np.add.at(grad_unit, negatives[active], unit[active])
 
-    grad = np.zeros_like(matrix)
-    for i in range(len(vectors)):
-        if norms[i] == 0.0:
-            continue  # zero projection falls back to the input, constant in W
-        g = grad_unit[i]
-        tangent = (g - unit[i] * float(unit[i] @ g)) / norms[i]
-        grad += np.outer(tangent, vectors[i])
-    return grad
+    # a zero projection falls back to the input, constant in W
+    radial = np.sum(unit * grad_unit, axis=1, keepdims=True)
+    tangent = np.divide(
+        grad_unit - unit * radial,
+        norms[:, None],
+        out=np.zeros_like(unit),
+        where=norms[:, None] != 0.0,
+    )
+    return tangent.T @ vectors
 
 
 def _member_text(name: str, values: Sequence[str]) -> str:
-    deduped = []
-    seen = set()
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            deduped.append(v)
+    deduped = list(dict.fromkeys(values))
     type_label = infer_type(Column(name, tuple(deduped)))
     return serialize(name, type_label, deduped, SerializationConfig())
 
@@ -273,23 +265,21 @@ def _validation_score(unit: np.ndarray, labels: Sequence[int]) -> float:
     return 0.5 * (mrr(matches, gt) + recall_at_gt(matches, gt))
 
 
+def _draw(pool: list, rng: random.Random, count: int) -> list:
+    """Pop `count` entries from `pool` at seeded random positions, in draw order."""
+    return [pool.pop(rng.randrange(len(pool))) for _ in range(count)]
+
+
 def _split_classes(class_ids: Sequence[int], val_fraction: float, rng: random.Random):
-    ids = list(class_ids)
-    pool = list(ids)
-    shuffled = []
-    while pool:
-        shuffled.append(pool.pop(rng.randrange(len(pool))))
-    n_val = int(round(val_fraction * len(ids)))
-    n_val = max(2, min(n_val, len(ids) - 2))
+    shuffled = _draw(list(class_ids), rng, len(class_ids))
+    n_val = int(round(val_fraction * len(shuffled)))
+    n_val = max(2, min(n_val, len(shuffled) - 2))
     return sorted(shuffled[n_val:]), sorted(shuffled[:n_val])
 
 
 def _make_batches(train_ids, members_by_class, config, rng):
     """Chunk shuffled class ids into (P, K) batches of member indices."""
-    pool = list(train_ids)
-    shuffled = []
-    while pool:
-        shuffled.append(pool.pop(rng.randrange(len(pool))))
+    shuffled = _draw(list(train_ids), rng, len(train_ids))
     batches = []
     for start in range(0, len(shuffled), config.batch_p):
         chunk = shuffled[start : start + config.batch_p]
@@ -299,8 +289,7 @@ def _make_batches(train_ids, members_by_class, config, rng):
         for cid in chunk:
             members = members_by_class[cid]
             if len(members) >= config.batch_k:
-                take = list(members)
-                picked = [take.pop(rng.randrange(len(take))) for _ in range(config.batch_k)]
+                picked = _draw(list(members), rng, config.batch_k)
             else:
                 picked = [members[rng.randrange(len(members))] for _ in range(config.batch_k)]
             rows.extend(picked)

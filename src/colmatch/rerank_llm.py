@@ -215,6 +215,20 @@ class RecordingLlmClient:
         return response
 
 
+def complete_with_retries(client, prompt: str, parse, subject: str):
+    """parse(client.complete(prompt)), asked up to RETRY_ATTEMPTS times.
+
+    A transport or parse error costs one attempt and is logged at debug
+    level with `subject`; None means every attempt failed.
+    """
+    for attempt in range(RETRY_ATTEMPTS):
+        try:
+            return parse(client.complete(prompt))
+        except (LlmTransportError, LlmParseError) as exc:
+            log.debug("attempt %d for %r failed: %s", attempt + 1, subject, exc)
+    return None
+
+
 def _rerank_column(candidates, source_name, source_samples, target_samples, client, n_send):
     if not candidates:
         return []
@@ -224,14 +238,7 @@ def _rerank_column(candidates, source_name, source_samples, target_samples, clie
         [(c.target, target_samples.get(c.target, [])) for c in sent],
     )
     log.debug("rerank prompt for %r: ~%d tokens", source_name, len(prompt.split()))
-    parsed = None
-    for attempt in range(RETRY_ATTEMPTS):
-        try:
-            parsed = parse_response(client.complete(prompt))
-            break
-        except (LlmTransportError, LlmParseError) as exc:
-            log.debug("attempt %d for %r failed: %s", attempt + 1, source_name, exc)
-            parsed = None
+    parsed = complete_with_retries(client, prompt, parse_response, source_name)
     if parsed is None:
         return list(candidates)  # full fallback to embedding scores
     return _merge_scores(candidates, sent, parsed, source_name)

@@ -147,6 +147,68 @@ def finite_difference_gradient(loss_fn, matrix, step=1e-5):
     return grad
 
 
+# -- the triplet kernel, one anchor at a time --------------------------------
+# These restate finetune._hardest_pairs and finetune.loss_gradient as they
+# were before both became array expressions: one argmax/argmin per anchor,
+# one hinge test and three row updates per anchor, one outer product per row.
+
+
+def hardest_pairs_longhand(distances, labels):
+    """Per anchor, (hardest positive, hardest negative); ties to the smallest index."""
+    import numpy as np
+
+    labels = np.asarray(labels)
+    pairs = []
+    for a in range(len(labels)):
+        same = (labels == labels[a]) & (np.arange(len(labels)) != a)
+        diff = labels != labels[a]
+        pos_idx = np.flatnonzero(same)
+        neg_idx = np.flatnonzero(diff)
+        p = int(pos_idx[np.argmax(distances[a, pos_idx])])
+        n = int(neg_idx[np.argmin(distances[a, neg_idx])])
+        pairs.append((p, n))
+    return pairs
+
+
+def loss_gradient_longhand(vectors, labels, margin, matrix):
+    """d(batch-hard loss)/dW at `matrix` for pre-projection rows `vectors`.
+
+    Each row is projected and re-normalised (a zero projection keeps the
+    input row and is constant in W); the hardest pairs are held fixed and an
+    inactive hinge contributes nothing.
+    """
+    import numpy as np
+
+    matrix = np.asarray(matrix, dtype=np.float64)
+    vectors = np.asarray(vectors, dtype=np.float64)
+    raw = vectors @ matrix.T
+    norms = np.linalg.norm(raw, axis=1)
+    unit = raw.copy()
+    for i in range(len(vectors)):
+        unit[i] = vectors[i] if norms[i] == 0.0 else raw[i] / norms[i]
+    distances = 1.0 - unit @ unit.T
+    hardest = hardest_pairs_longhand(distances, labels)
+
+    grad_unit = np.zeros_like(unit)
+    for a, (p, n) in enumerate(hardest):
+        term = margin + distances[a, p] - distances[a, n]
+        if term <= 0.0:
+            continue
+        # term = margin - u_a.u_p + u_a.u_n
+        grad_unit[a] += unit[n] - unit[p]
+        grad_unit[p] -= unit[a]
+        grad_unit[n] += unit[a]
+
+    grad = np.zeros_like(matrix)
+    for i in range(len(vectors)):
+        if norms[i] == 0.0:
+            continue
+        g = grad_unit[i]
+        tangent = (g - unit[i] * float(unit[i] @ g)) / norms[i]
+        grad += np.outer(tangent, vectors[i])
+    return grad
+
+
 # -- sampling and table loading, per cell ------------------------------------
 # These restate how sampling and loading behaved before both were rewritten
 # to work once per distinct value: a missingness test per cell, one FNV-1a

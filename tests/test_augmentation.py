@@ -1,3 +1,4 @@
+import json
 import logging
 
 import pytest
@@ -15,7 +16,7 @@ from colmatch.augmentation import (
     structural_variants,
     write_classes,
 )
-from colmatch.rerank_llm import LlmTransportError, RecordingLlmClient
+from colmatch.rerank_llm import LlmTransportError, RecordingLlmClient, ReplayLlmClient
 from colmatch.tables import Column, Table
 
 
@@ -259,8 +260,6 @@ class TestBuildClasses:
         assert run() == run()
 
     def test_transcript_records_prompt_response_pairs(self, tmp_path):
-        import json
-
         path = tmp_path / "aug.jsonl"
         client = RecordingLlmClient(FakeClient(["alt, p, q"]), path)
         build_classes(
@@ -279,6 +278,30 @@ class TestBuildClasses:
             build_classes(Table("t", ()), seed=0)
 
 
+# write_classes output for the table and replies in
+# TestClassFile.test_bytes_for_a_fixed_table_and_seed
+FROZEN_CLASSES = (
+    '{"class_id": 0, "members": ['
+    '{"name": "flag_89661", "values": ["yes", "no"], "origin": "anchor"}, '
+    '{"name": "flag_89661", "values": ["no"], "origin": "structural"}, '
+    '{"name": "flag_89661", "values": ["yes", "no"], "origin": "structural"}, '
+    '{"name": "is_flagged", "values": ["Y", "N"], "origin": "semantic"}, '
+    '{"name": "flag_yn", "values": ["true", "false"], "origin": "semantic"}]}\n'
+    '{"class_id": 1, "members": ['
+    '{"name": "tumor_site", "values": ["Lung", "Breast", "Colon", "Skin", "Brain", "Liver", "Bone"], "origin": "anchor"}, '
+    '{"name": "tuoor_yite", "values": ["Colon", "Lung", "Brain", "Skin"], "origin": "structural"}, '
+    '{"name": "tumor_site", "values": ["Colon", "Breast", "Brain", "Lung", "Bone", "Liver"], "origin": "structural"}, '
+    '{"name": "tumour_location", "values": ["Pulmonary", "Mammary"], "origin": "semantic"}, '
+    '{"name": "site_of_tumor", "values": ["Hepatic"], "origin": "semantic"}]}\n'
+    '{"class_id": 2, "members": ['
+    '{"name": "stage", "values": ["III", "I", "II", "IV"], "origin": "anchor"}, '
+    '{"name": "ltage", "values": ["III", "II", "I", "IV"], "origin": "structural"}, '
+    '{"name": "stan", "values": ["III", "IV", "I", "II"], "origin": "structural"}, '
+    '{"name": "stage", "values": ["I", "II", "IV", "III"], "origin": "semantic"}, '
+    '{"name": "tumor_stage", "values": ["1", "2", "3", "4"], "origin": "semantic"}]}\n'
+)
+
+
 class TestClassFile:
     def test_round_trip(self, tmp_path):
         classes = build_classes(small_table(), seed=2)
@@ -287,8 +310,6 @@ class TestClassFile:
         assert load_classes(path) == classes
 
     def test_file_is_jsonl_with_expected_fields(self, tmp_path):
-        import json
-
         classes = build_classes(small_table(), seed=2)
         path = tmp_path / "classes.jsonl"
         write_classes(classes, path)
@@ -307,3 +328,37 @@ class TestClassFile:
     def test_first_member_must_be_anchor(self):
         with pytest.raises(ValueError):
             TrainingClass(0, (ClassMember("a", ("1",), "structural"),))
+
+    def test_bytes_for_a_fixed_table_and_seed(self, tmp_path):
+        # At seed 7 the second structural variant of flag_89661 equals its
+        # anchor on all six draws and takes the extra value shuffle; the
+        # replayed reply for "stage" echoes its anchor, so that semantic
+        # variant is reshuffled.  The frozen bytes pin the seeded draws of
+        # all three value shuffles and of the name edits.
+        table = Table(
+            "t",
+            (
+                Column("flag_89661", ("yes", "no", "yes", "no")),
+                Column("tumor_site", ("Lung", "Breast", "Colon", "Skin", "Liver", "Bone", "Brain")),
+                Column("stage", ("I", "II", "III", "IV", "II", "I")),
+            ),
+        )
+        anchors = [c.anchor for c in build_classes(table, n_semantic=0, seed=7)]
+        replies = [
+            "is_flagged, Y, N; flag_yn, true, false",
+            "tumour_location, Pulmonary, Mammary; site_of_tumor, Hepatic",
+            f"stage, {', '.join(anchors[2].values)}; tumor_stage, 1, 2, 3, 4",
+        ]
+        transcript = tmp_path / "replay.jsonl"
+        transcript.write_text(
+            "".join(
+                json.dumps({"prompt": build_augmentation_prompt(a.name, a.values), "response": r})
+                + "\n"
+                for a, r in zip(anchors, replies)
+            ),
+            encoding="utf-8",
+        )
+        classes = build_classes(table, seed=7, client=ReplayLlmClient(transcript), max_concurrent=1)
+        path = tmp_path / "classes.jsonl"
+        write_classes(classes, path)
+        assert path.read_text(encoding="utf-8") == FROZEN_CLASSES

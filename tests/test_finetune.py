@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colmatch.augmentation import ClassMember, TrainingClass
 from colmatch.embedding import EmbeddingProviderConfig, get_provider
@@ -11,8 +13,10 @@ from colmatch.finetune import (
     ProjectionHead,
     TrainConfig,
     TripletBatch,
+    _distance_matrix,
+    _hardest_pairs,
+    _project_rows,
     batch_hard_loss,
-    cosine_distance,
     load_head,
     loss_gradient,
     mine_category,
@@ -20,7 +24,13 @@ from colmatch.finetune import (
     train,
 )
 
-from oracles import finite_difference_gradient, triplet_loss_brute_force
+from oracles import (
+    finite_difference_gradient,
+    hardest_pairs_longhand,
+    loss_gradient_longhand,
+    triplet_loss_brute_force,
+)
+from stubs import JsonStubServer
 
 
 def unit_rows(rng, n, d):
@@ -34,19 +44,6 @@ def random_batch(rng, p=None, k=None, d=None):
     d = d or rng.randint(3, 6)
     labels = [c for c in range(p) for _ in range(k)]
     return TripletBatch(unit_rows(rng, p * k, d), tuple(labels))
-
-
-class TestCosineDistance:
-    def test_identical_unit_vectors(self):
-        v = np.array([0.6, 0.8])
-        assert cosine_distance(v, v) == pytest.approx(0.0)
-
-    def test_opposite_vectors_give_two(self):
-        v = np.array([1.0, 0.0])
-        assert cosine_distance(v, -v) == pytest.approx(2.0)
-
-    def test_orthogonal_vectors_give_one(self):
-        assert cosine_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(1.0)
 
 
 class TestTripletBatch:
@@ -237,6 +234,54 @@ class TestLossGradient:
         assert loss_fn(stepped) < before
 
 
+@st.composite
+def _kernel_cases(draw):
+    """A (P, K, D) batch, a projection matrix and a margin for the triplet kernel.
+
+    Each class draws its rows from a pool of one or two small integer
+    vectors, so repeated rows tie on distance, within a class and, when two
+    pools share a vector, across classes.  Matrix columns in `null` are
+    zeroed: a batch row supported on those coordinates only projects to
+    exactly zero.  A margin of -2.5 leaves every hinge inactive, since
+    distances lie in [0, 2].
+    """
+    p, k, d = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(2, 8))
+    vector = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    rows = []
+    for _ in range(p):
+        pool = draw(st.lists(vector, min_size=1, max_size=2))
+        rows += [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(k)]
+    rows = np.array(rows, dtype=np.float64)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    matrix = np.array(draw(st.lists(vector, min_size=d, max_size=d)), dtype=np.float64)
+    null = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    matrix[:, sorted(null)] = 0.0
+    labels = tuple(c for c in range(p) for _ in range(k))
+    margin = draw(st.sampled_from((-2.5, 0.1, 0.5, 1.0)))
+    return TripletBatch(rows, labels), matrix, margin
+
+
+class TestKernelEqualsLonghand:
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_cases())
+    def test_hardest_pairs_and_gradient(self, case):
+        batch, matrix, margin = case
+        unit, _ = _project_rows(matrix, batch.embeddings)
+        distances = _distance_matrix(unit)
+        assert _hardest_pairs(distances, batch.labels) == hardest_pairs_longhand(
+            distances, batch.labels
+        )
+        # both sum one outer product per row, in different orders: where
+        # duplicate rows cancel exactly, the rounding left over grows with
+        # the row count (at most 3.2e-16 per row over 30 000 cases)
+        np.testing.assert_allclose(
+            loss_gradient(batch, margin, matrix),
+            loss_gradient_longhand(batch.embeddings, batch.labels, margin, matrix),
+            rtol=1e-12,
+            atol=1e-15 * len(batch.labels),
+        )
+
+
 class TestProjectionHead:
     def test_apply_normalizes(self):
         head = ProjectionHead(2.0 * np.eye(3))
@@ -287,6 +332,20 @@ class TestProjectedProvider:
         provider = get_provider(EmbeddingProviderConfig(kind="hash", dimension=16))
         with pytest.raises(ValueError):
             ProjectedProvider(provider, ProjectionHead(np.eye(8)))
+
+    def test_remote_provider_checks_the_first_vectors_returned(self):
+        # no dimension in the config: the provider learns it from its first response
+        def handler(path, body):
+            return 200, {"dimension": 8, "vectors": [[1.0] + [0.0] * 7 for _ in body["texts"]]}
+
+        with JsonStubServer(handler) as server:
+            config = EmbeddingProviderConfig(kind="remote", endpoint=server.url)
+            rotation = np.roll(np.eye(8), 1, axis=0)
+            projected = ProjectedProvider(get_provider(config), ProjectionHead(rotation))
+            assert projected.embed(["a", "b"])[1].tolist() == [0.0, 1.0] + [0.0] * 6
+            mismatched = ProjectedProvider(get_provider(config), ProjectionHead(np.eye(4)))
+            with pytest.raises(ValueError, match="head dimension 4"):
+                mismatched.embed(["a"])
 
     def test_identity_head_preserves_vectors(self):
         provider = get_provider(EmbeddingProviderConfig(kind="hash", dimension=16))
