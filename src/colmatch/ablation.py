@@ -9,6 +9,7 @@ runs are recorded too and count as done on resume; means skip them.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
 import logging
@@ -120,9 +121,24 @@ def load_grid(path) -> ExperimentGrid:
     )
 
 
-def _cell_id(cell: dict) -> str:
-    projection = cell["projection"] if cell["projection"] is not None else "none"
-    return "|".join([cell["sampling"], cell["serialization"], cell["reranker"], projection])
+def _projection_label(path) -> str:
+    """The label "none", or the head file name @ the first 12 hex of its sha256.
+
+    By content, not location: any checkout gives the same label, a rewritten
+    head a new one.  A missing file keeps its bare name; its runs record the error.
+    """
+    if path is None:
+        return "none"
+    path = Path(path)
+    try:
+        return f"{path.name}@{hashlib.sha256(path.read_bytes()).hexdigest()[:12]}"
+    except OSError:
+        return path.name
+
+
+def _cell_labels(cell: dict) -> list:
+    projection = _projection_label(cell["projection"])
+    return [cell["sampling"], cell["serialization"], cell["reranker"], projection]
 
 
 def _run_one(cell: dict, pair, seed: int, grid: ExperimentGrid) -> dict:
@@ -164,9 +180,8 @@ def aggregate(grid: ExperimentGrid, records) -> list:
         by_cell.setdefault(record["cell"], []).append(record)
     rows = []
     for cell in grid.cells():
-        cell_records = sorted(
-            by_cell.get(_cell_id(cell), []), key=lambda r: (r["pair"], r["repetition"])
-        )
+        cid = "|".join(_cell_labels(cell))
+        cell_records = sorted(by_cell.get(cid, []), key=lambda r: (r["pair"], r["repetition"]))
         ok = [r for r in cell_records if "error" not in r]
         failed = [r for r in cell_records if "error" in r]
         mrr_values = [r["mrr"] for r in ok]
@@ -196,32 +211,18 @@ def write_results(rows, out_dir: Path) -> None:
         "recall_mean",
         "recall_std",
     ]
+    labels = [_cell_labels(row) for row in rows]
     with open(out_dir / CSV_NAME, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sampling", "serialization", "reranker", "projection"] + numeric)
-        for row in rows:
+        for row, label in zip(rows, labels):
             writer.writerow(
-                [
-                    row["sampling"],
-                    row["serialization"],
-                    row["reranker"],
-                    row["projection"] if row["projection"] is not None else "none",
-                ]
+                label
                 + ["" if row[key] is None else repr(row[key]) if isinstance(row[key], float) else row[key] for key in numeric]
             )
 
     headers = ["sampling", "serialization", "reranker", "projection", "MRR", "Recall@GT"]
-    table_rows = [
-        [
-            row["sampling"],
-            row["serialization"],
-            row["reranker"],
-            row["projection"] if row["projection"] is not None else "none",
-            row["mrr"],
-            row["recall_at_gt"],
-        ]
-        for row in rows
-    ]
+    table_rows = [label + [row["mrr"], row["recall_at_gt"]] for row, label in zip(rows, labels)]
     widths = [
         max(len(headers[i]), max((len(r[i]) for r in table_rows), default=0))
         for i in range(len(headers))
@@ -247,7 +248,7 @@ def run_grid(grid: ExperimentGrid, out_dir) -> list:
     done = {(r["cell"], r["pair"], r["repetition"]) for r in records.read()}
 
     for cell in grid.cells():
-        cid = _cell_id(cell)
+        cid = "|".join(_cell_labels(cell))
         for pair_index, pair in enumerate(grid.suite):
             for repetition in range(grid.repetitions):
                 if (cid, pair_index, repetition) in done:

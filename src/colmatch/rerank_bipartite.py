@@ -2,8 +2,9 @@
 
 Treat candidates as a weighted bipartite graph, solve the maximum-weight
 one-to-one assignment, and promote the assigned edge of every source column
-to the top of its list.  Non-assigned candidates are rescaled below the
-weakest assigned edge so that relative order within a list is preserved.
+to the top of its list.  The other candidates follow in their input order,
+strictly below the weakest assigned edge, placed by `retrieval.place_below`:
+the same rule that places the `llm` reranker's leftovers.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .retrieval import MatchCandidate, MatchList
-
-RESCALE_EPSILON = 1e-9
+from .retrieval import MatchCandidate, MatchList, place_below
 
 
 @dataclass(frozen=True)
@@ -55,25 +54,15 @@ def solve_assignment(weights) -> Assignment:
 
 
 def rerank_bipartite(matches: MatchList) -> MatchList:
-    """Promote assigned edges; rescale the rest below the weakest of them.
+    """Promote each assigned edge to rank 1; place the rest below the weakest of them.
 
-    The rescale factor f = (w_low - eps) / max_non is global, where w_low is
-    the minimum assigned score and max_non the maximum non-assigned score;
-    when max_non < w_low no rescaling is needed (f = 1).  The candidate set
-    of every list is unchanged.  Note the factor assumes the usual case of
-    non-negative candidate scores.
+    Assigned edges keep their scores.  The other candidates follow in input
+    order; their scores go through one `place_below` over all lists with the
+    minimum assigned score as ceiling, so a score maps to the same new score
+    in every list.  The candidate set of every list is unchanged.
     """
     sources = list(matches.per_source)
-    targets = sorted(
-        {c.target for cands in matches.per_source.values() for c in cands}
-    )
-    if not sources or not targets:
-        return MatchList(
-            matches.source_table,
-            matches.target_table,
-            {s: list(cands) for s, cands in matches.per_source.items()},
-            matches.k,
-        )
+    targets = sorted({c.target for cands in matches.per_source.values() for c in cands})
     t_index = {t: j for j, t in enumerate(targets)}
     W = np.full((len(sources), len(targets)), np.nan)
     for i, s in enumerate(sources):
@@ -81,30 +70,17 @@ def rerank_bipartite(matches: MatchList) -> MatchList:
             W[i, t_index[cand.target]] = cand.score
 
     assignment = solve_assignment(W)
-    assigned = {(sources[r], targets[c]) for r, c, _ in assignment.edges}
-
-    factor = 1.0
-    if assigned:
-        w_low = min(w for _, _, w in assignment.edges)
-        non_assigned = [
-            c.score
-            for s in sources
-            for c in matches.per_source[s]
-            if (s, c.target) not in assigned
-        ]
-        if non_assigned and max(non_assigned) >= w_low:
-            factor = (w_low - RESCALE_EPSILON) / max(non_assigned)
+    head = {sources[r]: targets[c] for r, c, _ in assignment.edges}
+    w_low = min((w for _, _, w in assignment.edges), default=math.inf)
+    rest = {s: [c for c in matches.per_source[s] if c.target != head.get(s)] for s in sources}
+    placed = iter(place_below([c.score for s in sources for c in rest[s]], w_low).tolist())
 
     per_source = {}
     for s in sources:
-        entries = []
-        for cand in matches.per_source[s]:
-            is_assigned = (s, cand.target) in assigned
-            score = cand.score if is_assigned else cand.score * factor
-            entries.append((0 if is_assigned else 1, -score, cand.target, score))
-        entries.sort()
+        entries = [(c.target, c.score) for c in matches.per_source[s] if c.target == head.get(s)]
+        entries += [(c.target, next(placed)) for c in rest[s]]
         per_source[s] = [
             MatchCandidate(s, target, score, rank)
-            for rank, (_, _, target, score) in enumerate(entries, start=1)
+            for rank, (target, score) in enumerate(entries, start=1)
         ]
     return MatchList(matches.source_table, matches.target_table, per_source, matches.k)

@@ -4,8 +4,10 @@ Each source column is sent to a chat-completion endpoint together with its
 top candidates, rendered through a fixed four-block prompt.  The response
 must follow the strict "name(score); ..." grammar; parsing is attempted up
 to three times (transport errors included) before the column falls back to
-its embedding scores.  Candidates the model did not score are kept but
-rescaled so their best score lines up just under the model's lowest score.
+its embedding scores.  Candidates the model did not score follow the scored
+ones in retrieval order, strictly below the model's lowest score, by
+`retrieval.place_below`: the same rule that places the bipartite reranker's
+non-assigned candidates.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from typing import Optional, Sequence
 import requests
 
 from .linestore import LineStore
-from .retrieval import MatchCandidate, MatchList
+from .retrieval import MatchCandidate, MatchList, place_below
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 20
 RETRY_ATTEMPTS = 3
-LEFTOVER_EPSILON = 1e-9
 API_KEY_ENV = "LLM_API_KEY"
 REQUEST_TIMEOUT_SECONDS = 60.0
 DEFAULT_MAX_CONCURRENT = 4
@@ -256,21 +257,11 @@ def _merge_scores(candidates, sent, parsed, source_name):
         scored.append((cand.target, score))
     if not scored:
         return list(candidates)
-    # leftovers: candidates the model omitted plus the not-sent tail
-    s_min = min(score for _, score in scored)
+    # leftovers: candidates the model omitted plus the not-sent tail, in
+    # retrieval order below the model's lowest score (parse order is descending)
     leftovers = [c for c in candidates if c.target not in matched]
-    rescaled = []
-    if leftovers:
-        max_leftover = max(c.score for c in leftovers)
-        g, shift = 1.0, 0.0
-        if max_leftover >= s_min > 0:
-            g = s_min / (max_leftover + LEFTOVER_EPSILON)
-        elif max_leftover >= s_min:
-            # no factor brings scores below a 0.00 model score: shift them instead
-            shift = max_leftover - s_min + LEFTOVER_EPSILON
-        rescaled = [(c.target, c.score * g - shift) for c in leftovers]
-    merged = scored + rescaled
-    merged.sort(key=lambda entry: -entry[1])  # stable: scored order, then leftovers
+    placed = place_below([c.score for c in leftovers], scored[-1][1]).tolist()
+    merged = scored + [(c.target, score) for c, score in zip(leftovers, placed)]
     return [
         MatchCandidate(source_name, target, score, rank)
         for rank, (target, score) in enumerate(merged, start=1)
@@ -286,6 +277,10 @@ def rerank_llm(
     client=None,
 ) -> MatchList:
     """Re-score the top n_send candidates of every source column via the LLM.
+
+    Each list leads with the targets the model scored, with its scores in
+    descending order; the rest follow in retrieval order, placed below them
+    by `retrieval.place_below`.  A column whose attempts all fail keeps its list.
 
     `source_samples` / `target_samples` map column names to the sampled
     values used in the prompt renderings.  A custom `client` (anything with

@@ -112,6 +112,28 @@ def top_k(scores, name_rank, k: int) -> np.ndarray:
     return cols[order][starts[:, None] + np.arange(k)]
 
 
+def place_below(scores, ceiling: float) -> np.ndarray:
+    """Map scores strictly below `ceiling`, keeping their order and their ties.
+
+    Scores all below `ceiling` come back unchanged.  Otherwise the distinct
+    values are scaled by ceiling / max (shifted down by max - ceiling when
+    ceiling <= 0), and from the top down any value at or above its bound, the
+    ceiling or the value placed above it, becomes the next float below that bound.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0 or scores.max() < ceiling:
+        return scores
+    values, inverse = np.unique(scores, return_inverse=True)
+    top = values[-1]
+    placed = (values - (top - ceiling) if ceiling <= 0 else values * (ceiling / top)).tolist()
+    bound = ceiling
+    for i in reversed(range(len(placed))):
+        if placed[i] >= bound:
+            placed[i] = math.nextafter(bound, -math.inf)
+        bound = placed[i]
+    return np.asarray(placed)[inverse]
+
+
 def retrieve_from_vectors(
     source: Table,
     target: Table,

@@ -2,6 +2,7 @@ import csv
 import json
 import statistics
 
+import numpy as np
 import pytest
 
 from colmatch.ablation import (
@@ -11,6 +12,7 @@ from colmatch.ablation import (
     load_grid,
     run_grid,
 )
+from colmatch.finetune import ProjectionHead, save_head
 
 from helpers import identity_pair
 
@@ -296,3 +298,66 @@ class TestLoadGrid:
         grid = load_grid(path)
         assert grid.llm.endpoint == "http://example/v1"
         assert grid.llm.model == "m1"
+
+
+def grid_with_head(root, matrix):
+    """One-cell-per-projection grid over a suite and a head file under `root`."""
+    root.mkdir(parents=True, exist_ok=True)
+    head = root / "head.bin"
+    save_head(ProjectionHead(matrix), head)
+    grid = small_grid(
+        root,
+        sampling=("priority",),
+        serialization=("default",),
+        projections=(None, str(head)),
+        repetitions=1,
+        seeds=(0,),
+    )
+    return grid, head
+
+
+def records_without_runtime(out):
+    lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    return [
+        {key: value for key, value in json.loads(line).items() if key != "runtime_seconds"}
+        for line in lines
+    ]
+
+
+class TestProjectionLabel:
+    def test_results_do_not_depend_on_where_the_grid_lies(self, tmp_path):
+        outs = []
+        for name in ("a", "another-checkout"):
+            grid, _ = grid_with_head(tmp_path / name, np.eye(64))
+            run_grid(grid, tmp_path / name / "out")
+            outs.append(tmp_path / name / "out")
+        near, far = outs
+        for name in ("results.txt", "results.csv"):
+            assert (near / name).read_bytes() == (far / name).read_bytes()
+        assert records_without_runtime(near) == records_without_runtime(far)
+        assert "head.bin@" in (near / "results.txt").read_text(encoding="utf-8")
+
+    def test_rewritten_head_is_a_new_cell(self, tmp_path):
+        grid, head = grid_with_head(tmp_path, np.eye(64))
+        out = tmp_path / "out"
+        run_grid(grid, out)
+        save_head(ProjectionHead(2.0 * np.eye(64)), head)
+        rows = run_grid(grid, out)
+        records = records_without_runtime(out)
+        assert len(records) == 3 * 2  # none, the first head, the rewritten head; two pairs
+        assert len({r["cell"] for r in records}) == 3
+        assert [row["runs"] for row in rows] == [2, 2]
+
+    def test_missing_head_keeps_its_file_name(self, tmp_path):
+        grid = small_grid(
+            tmp_path,
+            sampling=("priority",),
+            serialization=("default",),
+            projections=(str(tmp_path / "gone" / "head.bin"),),
+            repetitions=1,
+            seeds=(0,),
+        )
+        rows = run_grid(grid, tmp_path / "out")
+        assert rows[0]["failures"] == 2
+        records = records_without_runtime(tmp_path / "out")
+        assert {r["cell"] for r in records} == {"priority|default|none|head.bin"}

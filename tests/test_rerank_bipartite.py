@@ -241,3 +241,77 @@ class TestRerankBipartite:
                         c.rank for c in reranked if (src, c.target) not in assigned
                     ]
                     assert max(assigned_ranks) < min(other_ranks)
+
+
+class TestPlacementRegressions:
+    def test_tiny_assigned_weight_keeps_both_lists_in_order(self):
+        matches = _matches(
+            {"s1": [("t1", 1e-10), ("t3", -0.2)], "s2": [("t2", 0.5), ("t1", 0.3), ("t3", 0.1)]}
+        )
+        out = rerank_bipartite(matches)
+        s1, s2 = out.candidates("s1"), out.candidates("s2")
+        assert _order(out, "s1") == ["t1", "t3"]
+        assert s1[0].score == 1e-10 and s1[1].score < 1e-10
+        assert _order(out, "s2") == ["t2", "t1", "t3"]
+        assert s2[0].score == 0.5
+        assert 1e-10 > s2[1].score > s2[2].score > s1[1].score
+
+    def test_scores_one_ulp_apart_stay_apart(self):
+        low = 0.17112484539617367
+        matches = _matches(
+            {
+                "s1": [("t1", low)],
+                "s2": [("t2", 0.95), ("tb", 0.8448677311172014), ("ta", 0.8448677311172013)],
+            }
+        )
+        out = rerank_bipartite(matches)
+        s2 = out.candidates("s2")
+        assert _order(out, "s2") == ["t2", "tb", "ta"]
+        assert low > s2[1].score > s2[2].score
+
+
+_list_scores = st.sampled_from(
+    [1.0, 0.9, 0.5, 0.5 + 2**-53, 1e-10, 1e-300, 0.0, -0.0, -1e-10, -0.5, -1.0]
+) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _retrieval_lists(draw):
+    """Per-source lists as retrieval emits them: score descending, ties by name."""
+    targets = [f"t{j}" for j in range(draw(st.integers(1, 6)))]
+    per_source = {}
+    for i in range(draw(st.integers(1, 5))):
+        chosen = draw(st.lists(st.sampled_from(targets), min_size=1, unique=True))
+        pairs = [(t, draw(_list_scores)) for t in chosen]
+        per_source[f"s{i}"] = sorted(pairs, key=lambda p: (-p[1], p[0]))
+    return per_source
+
+
+class TestRerankBipartiteProperties:
+    @settings(max_examples=300)
+    @given(_retrieval_lists())
+    def test_assigned_edge_first_and_the_rest_in_input_order_below_it(self, per_source):
+        out = rerank_bipartite(_matches(per_source))
+        sources = list(per_source)
+        targets = sorted({t for pairs in per_source.values() for t, _ in pairs})
+        W = np.full((len(sources), len(targets)), np.nan)
+        for i, s in enumerate(sources):
+            for t, score in per_source[s]:
+                W[i, targets.index(t)] = score
+        edges = solve_assignment(W).edges
+        head = {sources[r]: (targets[c], w) for r, c, w in edges}
+        w_low = min((w for _, _, w in edges), default=math.inf)
+        for s, pairs in per_source.items():
+            got = [(c.target, c.score) for c in out.candidates(s)]
+            assert sorted(t for t, _ in got) == sorted(t for t, _ in pairs)
+            assert [c.rank for c in out.candidates(s)] == list(range(1, len(pairs) + 1))
+            if s in head:
+                assert got[0] == head[s]
+                got = got[1:]
+            rest_in = [p for p in pairs if s not in head or p[0] != head[s][0]]
+            assert [t for t, _ in got] == [t for t, _ in rest_in]
+            assert all(score < w_low for _, score in got)
+            for (_, a_in), (_, b_in), (_, a_out), (_, b_out) in zip(
+                rest_in, rest_in[1:], got, got[1:]
+            ):
+                assert a_out > b_out if a_in > b_in else a_out == b_out

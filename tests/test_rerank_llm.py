@@ -245,6 +245,14 @@ class TestRerankLlm:
         assert cands[0].score == 0.0
         assert 0.0 > cands[1].score > cands[2].score
 
+    def test_tiny_leftovers_stay_apart_below_a_zero_model_score(self):
+        matches = _matches({"a": [("p", 1.0), ("t2", 1e-300), ("t0", 0.0)]})
+        client = FakeClient(["p(0.00)"])
+        out = rerank_llm(matches, {"a": []}, {}, n_send=1, client=client)
+        cands = out.candidates("a")
+        assert _order(out, "a") == ["p", "t2", "t0"]
+        assert 0.0 > cands[1].score > cands[2].score
+
 
 @given(
     retrieval=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
@@ -270,6 +278,10 @@ def test_leftovers_keep_retrieval_order_strictly_below_model_scores(retrieval, m
     lowest = min(score for _, score in scored)
     assert all(c.score < lowest for c in leftovers)
     assert all(a.score >= b.score for a, b in zip(leftovers, leftovers[1:]))
+    retrieval_score = dict(retrieved)
+    for a, b in zip(leftovers, leftovers[1:]):
+        if retrieval_score[a.target] > retrieval_score[b.target]:
+            assert a.score > b.score
 
 
 class TestLlmConfig:

@@ -16,6 +16,7 @@ from colmatch.retrieval import (
     match_list_as_dict,
     name_ranks,
     normalize_name,
+    place_below,
     retrieve,
     retrieve_from_vectors,
     top_k,
@@ -282,3 +283,62 @@ class TestMatchJsonBytes:
         for src, tgt, score, rank in entries:
             per_source.setdefault(src, []).append(MatchCandidate(src, tgt, score, rank))
         assert _same_bytes_as_json_dump(MatchList(table, table[::-1], per_source, 20))
+
+
+@st.composite
+def _scores_and_ceiling(draw):
+    """Scores in [-1, 1] with forced 1-ulp neighbours, signed zeros and repeats."""
+    base = draw(
+        st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-300]), min_size=1, max_size=10)
+    )
+    scores = []
+    for x in base:
+        scores.append(x)
+        extra = draw(st.sampled_from(["none", "below", "above", "both", "repeat"]))
+        if extra in ("below", "both"):
+            scores.append(math.nextafter(x, -1.0))
+        if extra in ("above", "both"):
+            scores.append(math.nextafter(x, 1.0))
+        if extra == "repeat":
+            scores.append(x)
+    scores = draw(st.permutations(scores))
+    ceiling = draw(st.sampled_from([1e-300, 1e-10, 0.0]) | st.sampled_from(scores))
+    return scores, ceiling
+
+
+class TestPlaceBelow:
+    @settings(max_examples=500)
+    @given(_scores_and_ceiling())
+    def test_strictly_below_the_ceiling_keeping_order_and_ties(self, drawn):
+        scores, ceiling = drawn
+        placed = place_below(scores, ceiling).tolist()
+        assert len(placed) == len(scores)
+        assert all(y < ceiling for y in placed)
+        for x, fx in zip(scores, placed):
+            for y, fy in zip(scores, placed):
+                if x < y:
+                    assert fx < fy, (x, y, fx, fy)
+                elif x == y:
+                    assert fx == fy, (x, y, fx, fy)
+        if max(scores) < ceiling:
+            assert placed == scores
+            assert [math.copysign(1.0, y) for y in placed] == [math.copysign(1.0, x) for x in scores]
+
+    def test_scales_by_ceiling_over_max_and_parts_collisions(self):
+        assert place_below([0.8, 0.4, 0.4], 0.4).tolist() == [
+            math.nextafter(0.4, -math.inf),
+            0.2,
+            0.2,
+        ]
+
+    def test_shifts_below_a_ceiling_at_or_under_zero(self):
+        placed = place_below([0.6, 0.4], 0.0).tolist()
+        assert placed[0] == math.nextafter(0.0, -math.inf)
+        assert placed[1] == pytest.approx(-0.2)
+        assert place_below([-0.1, -0.5], -0.3).tolist() == pytest.approx([-0.3, -0.7])
+        assert place_below([-0.1, -0.5], -0.3).max() < -0.3
+
+    def test_nothing_below_the_ceiling_moves(self):
+        assert place_below([0.3, -0.0, -0.2], 0.5).tolist() == [0.3, -0.0, -0.2]
+        assert place_below([0.3], math.inf).tolist() == [0.3]
+        assert place_below([], 0.0).tolist() == []
