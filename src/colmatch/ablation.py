@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .embedding import EmbeddingProviderConfig
+from .embedding import EmbeddingProviderConfig, get_provider
 from .linestore import LineStore
 from .metrics import evaluate
-from .pipeline import RERANKERS, PipelineConfig
+from .pipeline import RERANKERS, PipelineConfig, column_samples, profile_table
 from .rerank_llm import LlmConfig
 from .sampling import STRATEGIES, SamplerConfig
 from .serialization import FORMATS, SerializationConfig
@@ -141,11 +141,8 @@ def _cell_labels(cell: dict) -> list:
     return [cell["sampling"], cell["serialization"], cell["reranker"], projection]
 
 
-def _run_one(cell: dict, pair, seed: int, grid: ExperimentGrid) -> dict:
-    source = load_table(pair[0])
-    target = load_table(pair[1])
-    gt = load_ground_truth(pair[2])
-    config = PipelineConfig(
+def _cell_config(cell: dict, seed: int, grid: ExperimentGrid) -> PipelineConfig:
+    return PipelineConfig(
         sampling=SamplerConfig(
             strategy=cell["sampling"], sample_size=grid.sample_size, seed=seed
         ),
@@ -156,12 +153,51 @@ def _run_one(cell: dict, pair, seed: int, grid: ExperimentGrid) -> dict:
         llm=grid.llm,
         seed=seed,
     )
-    report = evaluate(source, target, gt, config)
-    return {
-        "mrr": report.mrr,
-        "recall_at_gt": report.recall_at_gt,
-        "runtime_seconds": report.runtime_seconds,
-    }
+
+
+def _run_pair(grid: ExperimentGrid, pair_index: int, runs, records: LineStore) -> None:
+    """Run one suite pair's pending (cell, cell id, repetition) runs, appending each record.
+
+    The pair is loaded once, each table sampled once per sampler setting and
+    profiled once per distinct (sampling, serialization, provider) setting;
+    the reranker and projection axes share that profile.  A failed load
+    fails every run of the pair.
+    """
+    pair = grid.suite[pair_index]
+    try:
+        loaded = (load_table(pair[0]), load_table(pair[1]), load_ground_truth(pair[2]))
+    except Exception as exc:  # noqa: BLE001 - recorded against each of the pair's runs
+        loaded = exc
+    samples, profiles = {}, {}
+    for cell, cid, repetition in runs:
+        seed = grid.seeds[repetition % len(grid.seeds)]
+        record = {"cell": cid, "pair": pair_index, "repetition": repetition, "seed": seed}
+        try:
+            if isinstance(loaded, Exception):
+                raise loaded
+            source, target, gt = loaded
+            config = _cell_config(cell, seed, grid)
+            key = (config.sampling, config.serialization, config.provider)
+            if key not in profiles:
+                if config.sampling not in samples:
+                    samples[config.sampling] = [
+                        column_samples(t, config.sampling) for t in (source, target)
+                    ]
+                provider = get_provider(config.provider)
+                profiles[key] = tuple(
+                    profile_table(t, config, provider, s)
+                    for t, s in zip((source, target), samples[config.sampling])
+                )
+            report = evaluate(source, target, gt, config, profiles=profiles[key])
+            record.update(
+                mrr=report.mrr,
+                recall_at_gt=report.recall_at_gt,
+                runtime_seconds=report.runtime_seconds,
+            )
+        except Exception as exc:  # noqa: BLE001 - cell failures must not kill the grid
+            record["error"] = f"{type(exc).__name__}: {exc}"
+            log.warning("run %s pair=%d rep=%d failed: %s", cid, pair_index, repetition, record["error"])
+        records.append(json.dumps(record, ensure_ascii=False))
 
 
 def format_measure(values) -> str:
@@ -239,33 +275,26 @@ def write_results(rows, out_dir: Path) -> None:
 def run_grid(grid: ExperimentGrid, out_dir) -> list:
     """Execute every (cell, pair, repetition), checkpointing as it goes.
 
-    Completed runs found in the checkpoint are not re-executed, so a second
-    invocation over a finished grid only re-derives the result files.
+    Runs go pair by pair (then cell, then repetition), so only one pair's
+    tables and profiles are held at a time.  Completed runs found in the
+    checkpoint are not re-executed, so a second invocation over a finished
+    grid only re-derives the result files.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = LineStore(out_dir / RECORDS_NAME, json.loads)
     done = {(r["cell"], r["pair"], r["repetition"]) for r in records.read()}
+    cells = [(cell, "|".join(_cell_labels(cell))) for cell in grid.cells()]
 
-    for cell in grid.cells():
-        cid = "|".join(_cell_labels(cell))
-        for pair_index, pair in enumerate(grid.suite):
-            for repetition in range(grid.repetitions):
-                if (cid, pair_index, repetition) in done:
-                    continue
-                seed = grid.seeds[repetition % len(grid.seeds)]
-                record = {
-                    "cell": cid,
-                    "pair": pair_index,
-                    "repetition": repetition,
-                    "seed": seed,
-                }
-                try:
-                    record.update(_run_one(cell, pair, seed, grid))
-                except Exception as exc:  # noqa: BLE001 - cell failures must not kill the grid
-                    record["error"] = f"{type(exc).__name__}: {exc}"
-                    log.warning("run %s pair=%d rep=%d failed: %s", cid, pair_index, repetition, record["error"])
-                records.append(json.dumps(record, ensure_ascii=False))
+    for pair_index in range(len(grid.suite)):
+        runs = [
+            (cell, cid, repetition)
+            for cell, cid in cells
+            for repetition in range(grid.repetitions)
+            if (cid, pair_index, repetition) not in done
+        ]
+        if runs:
+            _run_pair(grid, pair_index, runs, records)
 
     rows = aggregate(grid, records.read())
     write_results(rows, out_dir)

@@ -50,6 +50,12 @@ class ProjectionHead:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
+    def check_width(self, width: int) -> None:
+        if self.dimension != width:
+            raise ValueError(
+                f"head dimension {self.dimension} does not match provider dimension {width}"
+            )
+
     def apply(self, vector: np.ndarray) -> np.ndarray:
         vector = np.asarray(vector, dtype=np.float64)
         projected = self.matrix @ vector
@@ -57,6 +63,12 @@ class ProjectionHead:
         if norm == 0.0:
             return vector.copy()
         return projected / norm
+
+    def apply_all(self, vectors) -> list:
+        """apply() to each vector (or matrix row), once the width of the first is checked."""
+        if len(vectors):
+            self.check_width(len(vectors[0]))
+        return [self.apply(v) for v in vectors]
 
 
 class ProjectedProvider:
@@ -68,26 +80,16 @@ class ProjectedProvider:
 
     def __init__(self, base, head: ProjectionHead):
         if base.dimension is not None:
-            self._check_width(head, base.dimension)
+            head.check_width(base.dimension)
         self.base = base
         self.head = head
-
-    @staticmethod
-    def _check_width(head: ProjectionHead, width: int) -> None:
-        if head.dimension != width:
-            raise ValueError(
-                f"head dimension {head.dimension} does not match provider dimension {width}"
-            )
 
     @property
     def dimension(self) -> int:
         return self.base.dimension
 
     def embed(self, texts: Sequence[str]) -> list:
-        vectors = self.base.embed(texts)
-        if vectors:
-            self._check_width(self.head, len(vectors[0]))
-        return [self.head.apply(v) for v in vectors]
+        return self.head.apply_all(self.base.embed(texts))
 
 
 @dataclass(eq=False)

@@ -85,13 +85,18 @@ def recall_at_gt(matches: MatchList, gt: GroundTruth) -> float:
     return len(top & gt.pairs) / k
 
 
-def evaluate(source, target, gt: GroundTruth, config=None, llm_client=None) -> EvalReport:
-    """Run the configured pipeline end-to-end and score it."""
+def evaluate(
+    source, target, gt: GroundTruth, config=None, llm_client=None, profiles=None
+) -> EvalReport:
+    """Run the configured pipeline end-to-end and score it.
+
+    `profiles` goes to run_pipeline; runtime_seconds then leaves out profiling.
+    """
     from .pipeline import PipelineConfig, run_pipeline  # deferred: avoids a cycle
 
     config = config or PipelineConfig()
     started = time.perf_counter()
-    matches = run_pipeline(source, target, config, llm_client=llm_client)
+    matches = run_pipeline(source, target, config, llm_client=llm_client, profiles=profiles)
     elapsed = time.perf_counter() - started
     return EvalReport(
         mrr=mrr(matches, gt),

@@ -9,10 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from . import retrieval
 from .embedding import EmbeddingProviderConfig, get_provider
 from .finetune import ProjectedProvider, load_head
 from .rerank_llm import DEFAULT_TOP_K, LlmConfig, rerank_llm
-from .retrieval import DEFAULT_K, MatchList, exact_name_override, retrieve
+from .retrieval import DEFAULT_K, MatchList, embed_samples, exact_name_override
 from .sampling import SamplerConfig, sample_values
 from .serialization import SerializationConfig
 from .tables import Table
@@ -91,6 +94,27 @@ def column_samples(table: Table, sampling: SamplerConfig) -> dict:
     return {col.name: sample_values(col, sampling) for col in table.columns}
 
 
+@dataclass(frozen=True, eq=False)
+class TableProfile:
+    """One table's sampled values and its base-provider vectors, before any head.
+
+    They depend only on the sampling, serialization and provider settings,
+    so runs that differ in reranker or projection head can share one profile.
+    """
+
+    samples: dict  # column name -> sampled values
+    vectors: np.ndarray  # (n_columns, D), in column order
+
+
+def profile_table(
+    table: Table, config: PipelineConfig, provider, samples: Optional[dict] = None
+) -> TableProfile:
+    """Sample the table (unless `samples` holds its draw under config.sampling) and embed it."""
+    if samples is None:
+        samples = column_samples(table, config.sampling)
+    return TableProfile(samples, embed_samples(table, samples, config.serialization, provider))
+
+
 def rerank_bipartite(matches: MatchList) -> MatchList:
     """colmatch.rerank_bipartite.rerank_bipartite, imported on first use.
 
@@ -103,6 +127,10 @@ def rerank_bipartite(matches: MatchList) -> MatchList:
 
 
 def build_provider(config: PipelineConfig):
+    """The configured provider, wrapped in the projection head if there is one.
+
+    It embeds as run_pipeline does: base vectors, then the head row by row.
+    """
     provider = get_provider(config.provider)
     if config.projection_path is not None:
         provider = ProjectedProvider(provider, load_head(config.projection_path))
@@ -114,32 +142,38 @@ def run_pipeline(
     target: Table,
     config: Optional[PipelineConfig] = None,
     llm_client=None,
+    profiles: Optional[tuple] = None,
 ) -> MatchList:
     """Retrieve candidates, pin exact-name pairs, then apply the reranker.
 
-    Each column is sampled once; the LLM reranker's prompts show the same
-    samples that were serialized and embedded.
+    Both tables are profiled here unless `profiles` holds their (source,
+    target) TableProfiles under this config's sampling, serialization and
+    provider; a projection head applies to the profiles' base vectors.  The
+    LLM reranker's prompts show the samples that were serialized and embedded.
     """
     config = config or PipelineConfig()
+    if not source.columns or not target.columns:
+        raise ValueError("both tables must have at least one column")
     if config.reranker == "bipartite":
         # load scipy before this run's working set: imported mid-run, its
         # objects pin freed memory (+5 % peak RSS on 1100 x 1150 columns)
         from . import rerank_bipartite as _  # noqa: F401
-    provider = build_provider(config)
-    samples = (column_samples(source, config.sampling), column_samples(target, config.sampling))
-    matches = retrieve(
-        source,
-        target,
-        config.k,
-        serialization=config.serialization,
-        provider=provider,
-        samples=samples,
-    )
+    head = None if config.projection_path is None else load_head(config.projection_path)
+    if profiles is None:
+        provider = get_provider(config.provider)
+        profiles = tuple(profile_table(t, config, provider) for t in (source, target))
+    vectors = [p.vectors if head is None else np.vstack(head.apply_all(p.vectors)) for p in profiles]
+    matches = retrieval.retrieve_from_vectors(source, target, *vectors, config.k)
     matches = exact_name_override(matches, source, target)
     if config.reranker == "bipartite":
         return rerank_bipartite(matches)
     if config.reranker == "llm":
         return rerank_llm(
-            matches, *samples, config.llm, n_send=config.llm_top_k, client=llm_client
+            matches,
+            profiles[0].samples,
+            profiles[1].samples,
+            config.llm,
+            n_send=config.llm_top_k,
+            client=llm_client,
         )
     return matches

@@ -164,22 +164,12 @@ def retrieve(
     sampling: Optional[SamplerConfig] = None,
     serialization: Optional[SerializationConfig] = None,
     provider=None,
-    samples: Optional[tuple] = None,
 ) -> MatchList:
-    """Embed both tables and rank candidate targets for every source column.
-
-    `samples`, a (source, target) pair of column name -> sampled values
-    maps, embeds those samples instead of sampling both tables here.
-    """
+    """Embed both tables and rank candidate targets for every source column."""
     if not source.columns or not target.columns:
         raise ValueError("both tables must have at least one column")
     provider = provider if provider is not None else get_provider(EmbeddingProviderConfig())
-    if samples is None:
-        vectors = [embed_table(t, sampling, serialization, provider) for t in (source, target)]
-    else:
-        vectors = [
-            embed_samples(t, s, serialization, provider) for t, s in zip((source, target), samples)
-        ]
+    vectors = [embed_table(t, sampling, serialization, provider) for t in (source, target)]
     return retrieve_from_vectors(source, target, *vectors, k)
 
 

@@ -326,3 +326,32 @@ def load_table_longhand(path):
     return [
         (name, tuple(cells), infer_type_longhand(cells)) for name, cells in zip(header, columns)
     ]
+
+
+def run_one_longhand(cell, pair, seed, grid):
+    """One ablation run as the grid once made it: fresh loads, a fresh evaluate, no profiles."""
+    from colmatch.embedding import EmbeddingProviderConfig
+    from colmatch.metrics import evaluate
+    from colmatch.pipeline import PipelineConfig
+    from colmatch.sampling import SamplerConfig
+    from colmatch.serialization import SerializationConfig
+    from colmatch.tables import load_ground_truth, load_table
+
+    source = load_table(pair[0])
+    target = load_table(pair[1])
+    gt = load_ground_truth(pair[2])
+    config = PipelineConfig(
+        sampling=SamplerConfig(strategy=cell["sampling"], sample_size=grid.sample_size, seed=seed),
+        serialization=SerializationConfig(format=cell["serialization"]),
+        provider=EmbeddingProviderConfig(dimension=grid.dimension),
+        reranker=cell["reranker"],
+        projection_path=cell["projection"],
+        llm=grid.llm,
+        seed=seed,
+    )
+    report = evaluate(source, target, gt, config)
+    return {
+        "mrr": report.mrr,
+        "recall_at_gt": report.recall_at_gt,
+        "runtime_seconds": report.runtime_seconds,
+    }

@@ -1,20 +1,28 @@
 import csv
 import json
+import random
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import colmatch.ablation as ablation
+import colmatch.pipeline as pipeline
+import colmatch.retrieval as retrieval
 from colmatch.ablation import (
     ExperimentGrid,
     aggregate,
     format_measure,
     load_grid,
     run_grid,
+    write_results,
 )
+from colmatch.embedding import HashProvider
 from colmatch.finetune import ProjectionHead, save_head
 
-from helpers import identity_pair
+from helpers import identity_pair, write_csv
+from oracles import run_one_longhand
 
 
 def make_suite(tmp_path):
@@ -361,3 +369,166 @@ class TestProjectionLabel:
         assert rows[0]["failures"] == 2
         records = records_without_runtime(tmp_path / "out")
         assert {r["cell"] for r in records} == {"priority|default|none|head.bin"}
+
+
+def value_pair(directory, prefix, n_cols, seed):
+    """Source/target/gt CSVs matched by overlapping values; only column 0's names agree.
+
+    Names share no normalized form apart from column 0, so retrieval, the
+    sample and the head decide the ranking and MRR stays below 1.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = random.Random(seed)
+    pools = [[f"{prefix}{i}_{v}" for v in range(12)] for i in range(n_cols)]
+    target_names = [f"{prefix}_key"] + [f"{prefix}_t{i}" for i in range(1, n_cols)]
+    source_names = [f"{prefix.upper()} KEY"] + [f"{prefix}src{i}" for i in range(1, n_cols)]
+    target_rows = [[rng.choice(pool) for pool in pools] for _ in range(18)]
+    # every source column mixes its own pool with the next column's
+    source_rows = [
+        [rng.choice(pools[i] + pools[(i + 1) % n_cols][:4]) for i in range(n_cols)]
+        for _ in range(15)
+    ]
+    source = write_csv(directory / "source.csv", source_names, source_rows)
+    target = write_csv(directory / "target.csv", target_names, target_rows)
+    gt = write_csv(
+        directory / "gt.csv",
+        ["source_column", "target_column"],
+        [[s, t] for s, t in zip(source_names, target_names)],
+    )
+    return tuple(str(p) for p in (source, target, gt))
+
+
+def four_axis_grid(root, **overrides):
+    """Two pairs, two seeds, and a head file on every one of the four axes."""
+    head = root / "head.bin"
+    rng = np.random.RandomState(3)
+    save_head(ProjectionHead(np.eye(64) + 0.4 * rng.randn(64, 64)), head)
+    options = {
+        "suite": (value_pair(root / "a", "p", 5, 1), value_pair(root / "b", "q", 6, 2)),
+        "sampling": ("priority", "frequency"),
+        "serialization": ("default", "verbose"),
+        "rerankers": ("none", "bipartite"),
+        "projections": (None, str(head)),
+        "repetitions": 2,
+        "seeds": (0, 1),
+        "sample_size": 4,
+        "dimension": 64,
+    }
+    options.update(overrides)
+    return ExperimentGrid(**options)
+
+
+def records_longhand(grid):
+    """Every run's record, computed cell by cell with run_one_longhand."""
+    records = []
+    for cell in grid.cells():
+        cid = "|".join(ablation._cell_labels(cell))
+        for pair_index, pair in enumerate(grid.suite):
+            for repetition in range(grid.repetitions):
+                seed = grid.seeds[repetition % len(grid.seeds)]
+                record = {"cell": cid, "pair": pair_index, "repetition": repetition, "seed": seed}
+                try:
+                    record.update(run_one_longhand(cell, pair, seed, grid))
+                except Exception as exc:  # noqa: BLE001 - recorded as run_grid records it
+                    record["error"] = f"{type(exc).__name__}: {exc}"
+                records.append(record)
+    return records
+
+
+def by_run(records):
+    runtime_free = [{k: v for k, v in r.items() if k != "runtime_seconds"} for r in records]
+    return sorted(runtime_free, key=lambda r: (r["cell"], r["pair"], r["repetition"]))
+
+
+def assert_grid_equals_longhand(grid, root):
+    out, longhand_out = root / "out", root / "longhand"
+    run_grid(grid, out)
+    expected = records_longhand(grid)
+    assert by_run(records_without_runtime(out)) == by_run(expected)
+    longhand_out.mkdir()
+    write_results(aggregate(grid, expected), longhand_out)
+    for name in ("results.csv", "results.txt"):
+        assert (out / name).read_bytes() == (longhand_out / name).read_bytes()
+    return records_without_runtime(out)
+
+
+class TestSharedProfiles:
+    def test_grid_equals_the_cell_by_cell_longhand(self, tmp_path):
+        grid = four_axis_grid(tmp_path)
+        records = assert_grid_equals_longhand(grid, tmp_path)
+        assert len(records) == 16 * 2 * 2
+        assert not any("error" in r for r in records)
+        assert len({r["mrr"] for r in records}) > 1  # the axes change the outcome
+
+    def test_records_are_pair_major(self, tmp_path):
+        grid = four_axis_grid(tmp_path)
+        run_grid(grid, tmp_path / "out")
+        pairs = [r["pair"] for r in records_without_runtime(tmp_path / "out")]
+        assert pairs == sorted(pairs)
+
+    def test_each_pair_is_loaded_once(self, tmp_path, monkeypatch):
+        grid = four_axis_grid(tmp_path)
+        loads = Counter()
+
+        def counting(path, original=ablation.load_table):
+            loads[str(path)] += 1
+            return original(path)
+
+        monkeypatch.setattr(ablation, "load_table", counting)
+        run_grid(grid, tmp_path / "out")
+        assert loads == Counter(path for pair in grid.suite for path in pair[:2])
+
+    def test_each_column_is_sampled_once_per_sampling_key(self, tmp_path, monkeypatch):
+        grid = four_axis_grid(tmp_path)
+        calls = Counter()
+        for module in (pipeline, retrieval):
+
+            def counting(column, config, original=module.sample_values):
+                calls[(column.name, config)] += 1
+                return original(column, config)
+
+            monkeypatch.setattr(module, "sample_values", counting)
+        run_grid(grid, tmp_path / "out")
+        n_columns = (5 + 5) + (6 + 6)
+        n_keys = len(grid.sampling) * len(grid.seeds)
+        assert set(calls.values()) == {1}
+        assert len(calls) == n_columns * n_keys
+
+    def test_each_text_is_embedded_once_per_profile_key(self, tmp_path, monkeypatch):
+        grid = four_axis_grid(tmp_path)
+        calls = []
+
+        def recording(self, texts, original=HashProvider.embed):
+            calls.append(list(texts))
+            return original(self, texts)
+
+        monkeypatch.setattr(HashProvider, "embed", recording)
+        run_grid(grid, tmp_path / "out")
+        n_keys = len(grid.sampling) * len(grid.serialization) * len(grid.seeds)
+        assert len(calls) == len(grid.suite) * 2 * n_keys  # one call per table and key
+        assert sum(len(texts) for texts in calls) == ((5 + 5) + (6 + 6)) * n_keys
+
+    def test_a_pair_that_fails_to_load_fails_only_its_own_runs(self, tmp_path):
+        good = value_pair(tmp_path / "b", "q", 6, 2)
+        grid = four_axis_grid(
+            tmp_path, suite=((str(tmp_path / "missing.csv"), good[1], good[2]), good)
+        )
+        records = assert_grid_equals_longhand(grid, tmp_path)
+        failed = [r for r in records if "error" in r]
+        assert len(failed) == len(grid.cells()) * grid.repetitions
+        assert {r["pair"] for r in failed} == {0}
+        assert all(r["error"].startswith("FileNotFoundError") for r in failed)
+        assert all("mrr" in r for r in records if r["pair"] == 1)
+
+    def test_a_head_of_the_wrong_width_fails_only_its_own_cells(self, tmp_path):
+        wrong = tmp_path / "narrow.bin"
+        save_head(ProjectionHead(np.eye(32)), wrong)
+        grid = four_axis_grid(tmp_path, projections=(None, str(tmp_path / "head.bin"), str(wrong)))
+        records = assert_grid_equals_longhand(grid, tmp_path)
+        failed = [r for r in records if "error" in r]
+        assert {r["cell"].split("|")[3].split("@")[0] for r in failed} == {"narrow.bin"}
+        assert len(failed) == len(grid.cells()) // 3 * len(grid.suite) * grid.repetitions
+        assert all(
+            r["error"] == "ValueError: head dimension 32 does not match provider dimension 64"
+            for r in failed
+        )

@@ -321,6 +321,22 @@ class TestClassFile:
         assert set(record["members"][0]) == {"name", "values", "origin"}
         assert record["members"][0]["origin"] == "anchor"
 
+    def test_write_failing_partway_leaves_the_old_file_intact(self, tmp_path):
+        classes = build_classes(small_table(), seed=2)
+        path = tmp_path / "classes.jsonl"
+        write_classes(classes, path)
+        before = path.read_bytes()
+
+        def first_then_crash():
+            yield classes[0]
+            raise RuntimeError("crash mid-write")
+
+        with pytest.raises(RuntimeError, match="crash mid-write"):
+            write_classes(first_then_crash(), path)
+        assert path.read_bytes() == before
+        assert load_classes(path) == classes
+        assert [p.name for p in tmp_path.iterdir()] == ["classes.jsonl"]
+
     def test_member_origin_validated(self):
         with pytest.raises(ValueError):
             ClassMember("a", ("1",), "mystery")

@@ -5,7 +5,7 @@ import pytest
 
 import colmatch.pipeline as pipeline
 import colmatch.retrieval as retrieval
-from colmatch.embedding import EmbeddingProviderConfig
+from colmatch.embedding import EmbeddingProviderConfig, get_provider
 from colmatch.finetune import ProjectionHead, save_head
 from colmatch.pipeline import PRESETS, PipelineConfig, run_pipeline
 from colmatch.rerank_llm import LlmConfig, column_line
@@ -199,3 +199,74 @@ class TestRunPipeline:
             assert {c.target for c in base.per_source[src]} == {
                 c.target for c in reranked.per_source[src]
             }
+
+
+def overlapping_tables():
+    """Columns matched by shared values; only "Key"/"key" agree by name."""
+    pools = [[f"p{i}_{v}" for v in range(9)] for i in range(4)]
+
+    def mixed(i):  # two values of pool i, then one of the next pool
+        return tuple(pools[i if r % 3 else (i + 1) % 4][r % 9] for r in range(12))
+
+    source = Table(
+        "source",
+        (Column("Key", tuple(pools[0])),) + tuple(Column(f"src{i}", mixed(i)) for i in range(1, 4)),
+    )
+    target = Table(
+        "target",
+        (Column("key", tuple(reversed(pools[0]))),)
+        + tuple(Column(f"tgt_{i}", tuple(pools[i][(5 * r) % 9] for r in range(12))) for i in range(1, 4)),
+    )
+    return source, target
+
+
+class TestProfiles:
+    @pytest.mark.parametrize("reranker", ["none", "bipartite", "llm"])
+    @pytest.mark.parametrize("with_head", [False, True])
+    def test_given_profiles_give_the_same_matches(self, tmp_path, monkeypatch, reranker, with_head):
+        source, target = overlapping_tables()
+        head_path = None
+        if with_head:
+            head_path = tmp_path / "head.bin"
+            rng = np.random.RandomState(1)
+            save_head(ProjectionHead(np.eye(32) + 0.5 * rng.randn(32, 32)), head_path)
+            head_path = str(head_path)
+        config = PipelineConfig(
+            sampling=SamplerConfig(sample_size=5, seed=4),
+            provider=EmbeddingProviderConfig(dimension=32),
+            k=3,
+            reranker=reranker,
+            projection_path=head_path,
+            llm=LlmConfig(endpoint="http://unused.invalid/v1") if reranker == "llm" else None,
+        )
+        provider = get_provider(config.provider)
+        profiles = tuple(pipeline.profile_table(t, config, provider) for t in (source, target))
+        expected = run_pipeline(source, target, config, llm_client=ScriptedLlmClient())
+
+        def no_sampling(column, config):
+            raise AssertionError("sampled although profiles were given")
+
+        monkeypatch.setattr(pipeline, "sample_values", no_sampling)
+        got = run_pipeline(source, target, config, llm_client=ScriptedLlmClient(), profiles=profiles)
+        assert got == expected
+
+    def test_profile_holds_base_vectors_in_column_order(self):
+        source, _ = overlapping_tables()
+        config = PipelineConfig(provider=EmbeddingProviderConfig(dimension=32))
+        profile = pipeline.profile_table(source, config, get_provider(config.provider))
+        assert list(profile.samples) == source.column_names()
+        assert profile.vectors.shape == (len(source.columns), 32)
+        np.testing.assert_array_equal(
+            profile.vectors,
+            retrieval.embed_table(source, config.sampling, config.serialization, get_provider(config.provider)),
+        )
+
+    def test_head_of_the_wrong_width_is_rejected(self, tmp_path):
+        source, target = overlapping_tables()
+        head_path = tmp_path / "head.bin"
+        save_head(ProjectionHead(np.eye(16)), head_path)
+        config = PipelineConfig(
+            provider=EmbeddingProviderConfig(dimension=32), projection_path=str(head_path)
+        )
+        with pytest.raises(ValueError, match="head dimension 16 does not match provider dimension 32"):
+            run_pipeline(source, target, config)
