@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .linestore import replace_atomically
 from .rerank_llm import LlmParseError, complete_with_retries
 from .sampling import SamplerConfig, fnv1a64, sample_values
 from .tables import Column, Table
@@ -249,27 +249,17 @@ def build_classes(
 
 
 def write_classes(classes: Sequence[TrainingClass], path) -> None:
-    """Write one JSON line per class, whole or not at all.
-
-    The lines go to a temporary file beside `path` that then replaces it,
-    so a crash mid-write leaves the earlier file, if any, intact.
-    """
-    path = Path(path)
-    partial = path.with_name(path.name + ".tmp")
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            for cls in classes:
-                record = {
-                    "class_id": cls.class_id,
-                    "members": [
-                        {"name": m.name, "values": list(m.values), "origin": m.origin}
-                        for m in cls.members
-                    ],
-                }
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    """Write one JSON line per class, whole or not at all (see replace_atomically)."""
+    with replace_atomically(path, encoding="utf-8") as fh:
+        for cls in classes:
+            record = {
+                "class_id": cls.class_id,
+                "members": [
+                    {"name": m.name, "values": list(m.values), "origin": m.origin}
+                    for m in cls.members
+                ],
+            }
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def load_classes(path) -> list:

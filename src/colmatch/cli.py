@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ft)
     p_ft.add_argument("--classes", required=True)
     p_ft.add_argument("--out", required=True)
-    p_ft.add_argument("--epochs", type=int)
+    p_ft.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_ft.set_defaults(func=cmd_finetune)
 
     p_abl = sub.add_parser("ablate", help="run a grid of pipeline variants and aggregate")
@@ -144,6 +144,14 @@ def _get(node: dict, *keys, default=None):
     return node
 
 
+def _integer(value, key: str) -> int:
+    """int(value); a config-file value that int() refuses is a ValueError naming its key."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _flag(args, name, file_cfg, *keys, default=None):
     """The flag `name` when given (an explicit 0 included), else the config file value."""
     value = getattr(args, name, None)
@@ -157,7 +165,7 @@ def resolve_config(args) -> PipelineConfig:
     from here; flags a subcommand does not define count as absent.
     """
     file_cfg = _file_config(args)
-    seed = args.seed if args.seed is not None else int(_get(file_cfg, "seed", default=0))
+    seed = args.seed if args.seed is not None else _integer(_get(file_cfg, "seed", default=0), "seed")
 
     preset_reranker = None
     preset_needs_head = False
@@ -173,20 +181,25 @@ def resolve_config(args) -> PipelineConfig:
     if preset_needs_head and projection is None:
         raise ValueError(f"preset {args.preset} requires --projection")
 
+    sample_size = _flag(args, "sample_size", file_cfg, "sampling", "sample_size", default=10)
+    repeat_count = _flag(args, "repeat_k", file_cfg, "serialization", "repeat_count", default=5)
+    dimension = _get(file_cfg, "provider", "dimension")
+    batch_size = _get(file_cfg, "provider", "batch_size", default=32)
+    sampling_seed = _get(file_cfg, "sampling", "seed", default=seed)
     sampling = SamplerConfig(
         strategy=_flag(args, "sampling", file_cfg, "sampling", "strategy", default="priority"),
-        sample_size=_flag(args, "sample_size", file_cfg, "sampling", "sample_size", default=10),
-        seed=seed if args.seed is not None else _get(file_cfg, "sampling", "seed", default=seed),
+        sample_size=_integer(sample_size, "sampling.sample_size"),
+        seed=seed if args.seed is not None else _integer(sampling_seed, "sampling.seed"),
     )
     serialization = SerializationConfig(
         format=_flag(args, "serialization", file_cfg, "serialization", "format", default="default"),
-        repeat_count=_flag(args, "repeat_k", file_cfg, "serialization", "repeat_count", default=5),
+        repeat_count=_integer(repeat_count, "serialization.repeat_count"),
     )
     provider = EmbeddingProviderConfig(
         kind=_get(file_cfg, "provider", "kind", default="hash"),
-        dimension=_get(file_cfg, "provider", "dimension"),
+        dimension=None if dimension is None else _integer(dimension, "provider.dimension"),
         endpoint=_get(file_cfg, "provider", "endpoint"),
-        batch_size=_get(file_cfg, "provider", "batch_size", default=32),
+        batch_size=_integer(batch_size, "provider.batch_size"),
         cache_path=_get(file_cfg, "provider", "cache_path"),
     )
 
@@ -205,11 +218,11 @@ def resolve_config(args) -> PipelineConfig:
         sampling=sampling,
         serialization=serialization,
         provider=provider,
-        k=int(_get(file_cfg, "k", default=20)),
+        k=_integer(_get(file_cfg, "k", default=20), "k"),
         reranker=reranker,
         projection_path=projection,
         llm=llm,
-        llm_top_k=_flag(args, "llm_top_k", file_cfg, "llm_top_k", default=20),
+        llm_top_k=_integer(_flag(args, "llm_top_k", file_cfg, "llm_top_k", default=20), "llm_top_k"),
         seed=seed,
     )
 
@@ -265,10 +278,7 @@ def cmd_finetune(args) -> int:
     config = resolve_config(args)
     classes = load_classes(args.classes)
     provider = get_provider(config.provider)
-    kwargs = {"seed": config.seed}
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    head = train(classes, provider, TrainConfig(**kwargs))
+    head = train(classes, provider, TrainConfig(epochs=args.epochs, seed=config.seed))
     save_head(head, args.out)
     print(f"wrote head ({head.dimension}x{head.dimension}, validation score {head.score:.4f}) to {args.out}")
     return 0

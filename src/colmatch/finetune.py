@@ -15,11 +15,13 @@ from __future__ import annotations
 import json
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .linestore import replace_atomically
 from .metrics import mrr, recall_at_gt
 from .retrieval import MatchCandidate, MatchList, name_ranks, top_k
 from .sampling import fnv1a64
@@ -28,9 +30,31 @@ from .tables import Column, GroundTruth, infer_type
 
 log = logging.getLogger(__name__)
 
+MARGIN = 0.5
+LEARNING_RATE = 0.05
+BATCH_P = 4  # classes per batch
+BATCH_K = 3  # members drawn per class
+VAL_FRACTION = 0.2  # share of classes held out for validation
 SCORE_TOLERANCE = 1e-9
 PATIENCE = 5  # epochs without a validation change before training stops
 MIN_CLASSES = 4
+
+
+def _project_rows(matrix: np.ndarray, vectors: np.ndarray):
+    """Each row v as W.v / |W.v|, or v itself where W.v is zero; returns (unit rows, |W.v|).
+
+    The one projection kernel.  Stacked matmuls take one matrix-vector product
+    and one dot per row, so a row's bits do not depend on the other rows (with
+    one `vectors @ matrix.T` they can).
+    """
+    raw = np.matmul(matrix, vectors[:, :, None])[:, :, 0]
+    norms = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None])[:, 0, 0])
+    unit = np.empty_like(raw)
+    zero = norms == 0.0
+    unit[zero] = vectors[zero]
+    nz = ~zero
+    unit[nz] = raw[nz] / norms[nz, None]
+    return unit, norms
 
 
 @dataclass
@@ -56,19 +80,12 @@ class ProjectionHead:
                 f"head dimension {self.dimension} does not match provider dimension {width}"
             )
 
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        vector = np.asarray(vector, dtype=np.float64)
-        projected = self.matrix @ vector
-        norm = float(np.linalg.norm(projected))
-        if norm == 0.0:
-            return vector.copy()
-        return projected / norm
-
-    def apply_all(self, vectors) -> list:
-        """apply() to each vector (or matrix row), once the width of the first is checked."""
-        if len(vectors):
-            self.check_width(len(vectors[0]))
-        return [self.apply(v) for v in vectors]
+    def apply_all(self, vectors) -> np.ndarray:
+        """Project the rows of `vectors` (n, D) into an (n, D) array, once their width is checked."""
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.size:
+            self.check_width(vectors.shape[-1])
+        return _project_rows(self.matrix, vectors.reshape(-1, self.dimension))[0]
 
 
 class ProjectedProvider:
@@ -84,11 +101,7 @@ class ProjectedProvider:
         self.base = base
         self.head = head
 
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    def embed(self, texts: Sequence[str]) -> list:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         return self.head.apply_all(self.base.embed(texts))
 
 
@@ -106,45 +119,22 @@ class TripletBatch:
             raise ValueError("embeddings must be a 2-D array")
         if len(self.labels) != self.embeddings.shape[0]:
             raise ValueError("one label per embedding row required")
-        counts = {}
-        for l in self.labels:
-            counts[l] = counts.get(l, 0) + 1
+        counts = Counter(self.labels)
         if len(counts) < 2:
             raise ValueError("a batch needs at least 2 classes")
         sizes = set(counts.values())
         if len(sizes) != 1 or min(sizes) < 2:
             raise ValueError("every class in a batch needs the same K >= 2 members")
 
-    @property
-    def p(self) -> int:
-        return len(set(self.labels))
-
-    @property
-    def k(self) -> int:
-        return len(self.labels) // self.p
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    margin: float = 0.5
-    learning_rate: float = 0.05
     epochs: int = 30
-    batch_p: int = 4
-    batch_k: int = 3
-    val_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_p < 2 or self.batch_k < 2:
-            raise ValueError("batch shape needs P >= 2 and K >= 2")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
 
 
 def _distance_matrix(embeddings: np.ndarray) -> np.ndarray:
@@ -172,39 +162,6 @@ def batch_hard_loss(batch: TripletBatch, margin: float):
     anchors = np.arange(len(hardest))
     hinge = np.maximum(0.0, margin + distances[anchors, positives] - distances[anchors, negatives])
     return float(hinge.sum()), hardest
-
-
-def mine_category(a: int, p: int, n: int, batch: TripletBatch, margin: float) -> str:
-    """Classify a (anchor, positive, negative) triplet for diagnostics."""
-    labels = batch.labels
-    if a == p:
-        raise ValueError("anchor and positive must differ")
-    if labels[a] != labels[p]:
-        raise ValueError("positive must share the anchor's class")
-    if labels[a] == labels[n]:
-        raise ValueError("negative must come from a different class")
-    distances = _distance_matrix(batch.embeddings)
-    d_ap = distances[a, p]
-    d_an = distances[a, n]
-    hardest_p, hardest_n = _hardest_pairs(distances, labels)[a]
-    if d_ap < d_an < d_ap + margin:
-        return "semi_hard_negative"
-    if n == hardest_n and d_an > d_ap + margin:
-        return "hardest_negative"
-    if p == hardest_p and d_ap < d_an:
-        return "hard_positive_pair"
-    return "easy"
-
-
-def _project_rows(matrix: np.ndarray, vectors: np.ndarray):
-    raw = vectors @ matrix.T
-    norms = np.linalg.norm(raw, axis=1)
-    unit = np.empty_like(raw)
-    zero = norms == 0.0
-    unit[zero] = vectors[zero]
-    nz = ~zero
-    unit[nz] = raw[nz] / norms[nz, None]
-    return unit, norms
 
 
 def loss_gradient(batch: TripletBatch, margin: float, matrix: np.ndarray) -> np.ndarray:
@@ -246,11 +203,8 @@ def _member_text(name: str, values: Sequence[str]) -> str:
 def _validation_score(unit: np.ndarray, labels: Sequence[int]) -> float:
     """Mean of MRR and recall on the all-pairs intra-class matching task."""
     ids = [f"m{i}" for i in range(len(labels))]
-    pairs = set()
-    for i, li in enumerate(labels):
-        for j, lj in enumerate(labels):
-            if i != j and li == lj:
-                pairs.add((ids[i], ids[j]))
+    same = np.equal.outer(labels, labels) & ~np.eye(len(labels), dtype=bool)
+    pairs = {(ids[i], ids[j]) for i, j in zip(*np.nonzero(same))}
     if not pairs:
         return 0.0
     gt = GroundTruth(frozenset(pairs))
@@ -272,30 +226,30 @@ def _draw(pool: list, rng: random.Random, count: int) -> list:
     return [pool.pop(rng.randrange(len(pool))) for _ in range(count)]
 
 
-def _split_classes(class_ids: Sequence[int], val_fraction: float, rng: random.Random):
+def _split_classes(class_ids: Sequence[int], rng: random.Random):
     shuffled = _draw(list(class_ids), rng, len(class_ids))
-    n_val = int(round(val_fraction * len(shuffled)))
+    n_val = int(round(VAL_FRACTION * len(shuffled)))
     n_val = max(2, min(n_val, len(shuffled) - 2))
     return sorted(shuffled[n_val:]), sorted(shuffled[:n_val])
 
 
-def _make_batches(train_ids, members_by_class, config, rng):
-    """Chunk shuffled class ids into (P, K) batches of member indices."""
+def _make_batches(train_ids, members_by_class, rng):
+    """Chunk shuffled class ids into (BATCH_P, BATCH_K) batches of member indices."""
     shuffled = _draw(list(train_ids), rng, len(train_ids))
     batches = []
-    for start in range(0, len(shuffled), config.batch_p):
-        chunk = shuffled[start : start + config.batch_p]
+    for start in range(0, len(shuffled), BATCH_P):
+        chunk = shuffled[start : start + BATCH_P]
         if len(chunk) < 2:
             continue
         rows, labels = [], []
         for cid in chunk:
             members = members_by_class[cid]
-            if len(members) >= config.batch_k:
-                picked = _draw(list(members), rng, config.batch_k)
+            if len(members) >= BATCH_K:
+                picked = _draw(list(members), rng, BATCH_K)
             else:
-                picked = [members[rng.randrange(len(members))] for _ in range(config.batch_k)]
+                picked = [members[rng.randrange(len(members))] for _ in range(BATCH_K)]
             rows.extend(picked)
-            labels.extend([cid] * config.batch_k)
+            labels.extend([cid] * BATCH_K)
         batches.append((rows, labels))
     return batches
 
@@ -334,7 +288,7 @@ def train(
             raise ValueError(f"class {cid} has fewer than 2 members")
 
     rng = random.Random(fnv1a64(f"{config.seed}/train".encode("utf-8")))
-    train_ids, val_ids = _split_classes(sorted(members_by_class), config.val_fraction, rng)
+    train_ids, val_ids = _split_classes(sorted(members_by_class), rng)
     val_rows = [r for cid in val_ids for r in members_by_class[cid]]
     val_vectors = base[val_rows]
     val_labels = [owners[r] for r in val_rows]
@@ -351,12 +305,12 @@ def train(
     unchanged_streak = 0
     for epoch in range(1, config.epochs + 1):
         epoch_loss = 0.0
-        for rows, labels in _make_batches(train_ids, members_by_class, config, rng):
+        for rows, labels in _make_batches(train_ids, members_by_class, rng):
             batch = TripletBatch(base[rows], tuple(labels))
             unit, _ = _project_rows(matrix, batch.embeddings)
-            loss, _ = batch_hard_loss(TripletBatch(unit, batch.labels), config.margin)
+            loss, _ = batch_hard_loss(TripletBatch(unit, batch.labels), MARGIN)
             epoch_loss += loss
-            matrix = matrix - config.learning_rate * loss_gradient(batch, config.margin, matrix)
+            matrix = matrix - LEARNING_RATE * loss_gradient(batch, MARGIN, matrix)
 
         unit, _ = _project_rows(matrix, val_vectors)
         score = _validation_score(unit, val_labels)
@@ -381,7 +335,7 @@ def train(
 def save_head(head: ProjectionHead, path) -> None:
     """Header line {dimension, seed, score}, then row-major float32 weights."""
     header = {"dimension": head.dimension, "seed": head.seed, "score": head.score}
-    with open(path, "wb") as fh:
+    with replace_atomically(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         fh.write(np.ascontiguousarray(head.matrix, dtype="<f4").tobytes())
 

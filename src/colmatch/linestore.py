@@ -1,15 +1,30 @@
-"""Append-only files of one record per line that survive a torn last line.
+"""Files that survive a crash mid-write.
 
-A crash mid-append leaves a last line without its newline, or one that
-does not parse.  Such a line is ignored on read and cut off before the
-next append; a bad line anywhere earlier still raises.
+A LineStore appends one record per line.  A crash mid-append leaves a last
+line without its newline, or one that does not parse: such a line is
+ignored on read and cut off before the next append; a bad line anywhere
+earlier still raises.  replace_atomically writes a file whole or not at all.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
+
+
+@contextmanager
+def replace_atomically(path, mode: str = "w", **open_kwargs):
+    """A temporary file beside `path` that replaces it when the block exits without an exception."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 class LineStore:

@@ -129,7 +129,7 @@ def rerank_bipartite(matches: MatchList) -> MatchList:
 def build_provider(config: PipelineConfig):
     """The configured provider, wrapped in the projection head if there is one.
 
-    It embeds as run_pipeline does: base vectors, then the head row by row.
+    It embeds as run_pipeline does: base vectors, then the head's apply_all.
     """
     provider = get_provider(config.provider)
     if config.projection_path is not None:
@@ -162,7 +162,7 @@ def run_pipeline(
     if profiles is None:
         provider = get_provider(config.provider)
         profiles = tuple(profile_table(t, config, provider) for t in (source, target))
-    vectors = [p.vectors if head is None else np.vstack(head.apply_all(p.vectors)) for p in profiles]
+    vectors = [p.vectors if head is None else head.apply_all(p.vectors) for p in profiles]
     matches = retrieval.retrieve_from_vectors(source, target, *vectors, config.k)
     matches = exact_name_override(matches, source, target)
     if config.reranker == "bipartite":

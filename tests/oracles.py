@@ -173,16 +173,16 @@ def hardest_pairs_longhand(distances, labels):
 def loss_gradient_longhand(vectors, labels, margin, matrix):
     """d(batch-hard loss)/dW at `matrix` for pre-projection rows `vectors`.
 
-    Each row is projected and re-normalised (a zero projection keeps the
-    input row and is constant in W); the hardest pairs are held fixed and an
-    inactive hinge contributes nothing.
+    Each row is projected and re-normalised one at a time (a zero projection
+    keeps the input row and is constant in W); the hardest pairs are held
+    fixed and an inactive hinge contributes nothing.
     """
     import numpy as np
 
     matrix = np.asarray(matrix, dtype=np.float64)
     vectors = np.asarray(vectors, dtype=np.float64)
-    raw = vectors @ matrix.T
-    norms = np.linalg.norm(raw, axis=1)
+    raw = np.array([matrix @ v for v in vectors]).reshape(vectors.shape)
+    norms = np.array([np.linalg.norm(z) for z in raw])
     unit = raw.copy()
     for i in range(len(vectors)):
         unit[i] = vectors[i] if norms[i] == 0.0 else raw[i] / norms[i]
@@ -207,6 +207,16 @@ def loss_gradient_longhand(vectors, labels, margin, matrix):
         tangent = (g - unit[i] * float(unit[i] @ g)) / norms[i]
         grad += np.outer(tangent, vectors[i])
     return grad
+
+
+def project_longhand(matrix, rows):
+    """Per row v: W.v / |W.v| in plain Python sums, or v itself when W.v is zero."""
+    out = []
+    for v in rows:
+        z = [math.fsum(w * x for w, x in zip(w_row, v)) for w_row in matrix]
+        norm = math.sqrt(math.fsum(c * c for c in z))
+        out.append([float(x) for x in v] if norm == 0.0 else [c / norm for c in z])
+    return out
 
 
 # -- sampling and table loading, per cell ------------------------------------

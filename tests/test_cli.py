@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -26,6 +27,22 @@ def chat_handler(path, body):
 def write_config(path, config):
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
+
+
+def nested(keys, value):
+    """{"a": {"b": value}} for keys ("a", "b")."""
+    return functools.reduce(lambda node, key: {key: node}, reversed(keys), value)
+
+
+# integer settings read from a config file, by their path in the file
+CONFIG_INTEGERS = [
+    ("sampling", "sample_size"),
+    ("sampling", "seed"),
+    ("serialization", "repeat_count"),
+    ("llm_top_k",),
+    ("provider", "dimension"),
+    ("provider", "batch_size"),
+]
 
 
 ALL_FLAGS = [
@@ -327,6 +344,26 @@ class TestConfigResolution:
         code = main(["match", str(source), str(target), "--out", out, "--sample-size", "0"])
         assert code == 1
         assert "sample_size must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys", CONFIG_INTEGERS, ids=".".join)
+    def test_config_file_integer_that_is_not_one_exits_one(self, tmp_path, pair, capsys, keys):
+        source, target, _ = pair
+        config = write_config(tmp_path / "cfg.json", nested(keys, "many"))
+        out = str(tmp_path / "m")
+        code = main(["match", str(source), str(target), "--out", out, "--config", config])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{'.'.join(keys)} must be an integer, got 'many'" in err
+
+    @pytest.mark.parametrize("keys", CONFIG_INTEGERS, ids=".".join)
+    def test_config_file_integer_as_digits_is_converted(self, tmp_path, pair, keys):
+        # as k always was: int("32") is 32
+        source, target, _ = pair
+        config = write_config(tmp_path / "cfg.json", nested(keys, "32"))
+        args = self.args_for(["match", str(source), str(target), "--config", config])
+        value = functools.reduce(getattr, keys, resolve_config(args))
+        assert value == 32 and isinstance(value, int)
 
     def test_serialization_flag_accepts_hyphenated_token(self, pair):
         source, target, _ = pair
