@@ -358,7 +358,7 @@ class TestTrainConfig:
         assert config.epochs == 30
         assert finetune.VAL_FRACTION == 0.2
 
-    @pytest.mark.parametrize("kwargs", [{"epochs": 0}])
+    @pytest.mark.parametrize("kwargs", [{"epochs": -30}, {"epochs": -1}, {"epochs": 0}])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
