@@ -21,7 +21,7 @@ from typing import Optional
 from .embedding import EmbeddingProviderConfig, get_provider
 from .linestore import LineStore
 from .metrics import evaluate
-from .pipeline import RERANKERS, PipelineConfig, column_samples, profile_table
+from .pipeline import RERANKERS, PipelineConfig, as_integer, column_samples, profile_table
 from .rerank_llm import LlmConfig
 from .sampling import STRATEGIES, SamplerConfig
 from .serialization import FORMATS, SerializationConfig
@@ -57,7 +57,9 @@ class ExperimentGrid:
         object.__setattr__(self, "serialization", tuple(self.serialization))
         object.__setattr__(self, "rerankers", tuple(self.rerankers))
         object.__setattr__(self, "projections", tuple(self.projections))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(as_integer(s, "seeds") for s in self.seeds))
+        if self.dimension is not None:
+            object.__setattr__(self, "dimension", as_integer(self.dimension, "dimension"))
         if not self.suite:
             raise ValueError("suite must list at least one table pair")
         if any(len(p) != 3 for p in self.suite):

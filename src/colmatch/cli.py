@@ -19,7 +19,7 @@ from .augmentation import build_classes, load_classes, write_classes
 from .embedding import EmbeddingProviderConfig, ProviderError, get_provider
 from .finetune import TrainConfig, train, save_head
 from .metrics import evaluate, write_report
-from .pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
+from .pipeline import PRESETS, RERANKERS, PipelineConfig, as_integer, run_pipeline
 from .rerank_llm import HttpLlmClient, LlmConfig, RecordingLlmClient, ReplayLlmClient
 from .retrieval import write_match_csv, write_match_json
 from .sampling import STRATEGIES, SamplerConfig
@@ -144,14 +144,6 @@ def _get(node: dict, *keys, default=None):
     return node
 
 
-def _integer(value, key: str) -> int:
-    """int(value); a config-file value that int() refuses is a ValueError naming its key."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
-
-
 def _flag(args, name, file_cfg, *keys, default=None):
     """The flag `name` when given (an explicit 0 included), else the config file value."""
     value = getattr(args, name, None)
@@ -165,7 +157,7 @@ def resolve_config(args) -> PipelineConfig:
     from here; flags a subcommand does not define count as absent.
     """
     file_cfg = _file_config(args)
-    seed = args.seed if args.seed is not None else _integer(_get(file_cfg, "seed", default=0), "seed")
+    seed = args.seed if args.seed is not None else as_integer(_get(file_cfg, "seed", default=0), "seed")
 
     preset_reranker = None
     preset_needs_head = False
@@ -188,18 +180,18 @@ def resolve_config(args) -> PipelineConfig:
     sampling_seed = _get(file_cfg, "sampling", "seed", default=seed)
     sampling = SamplerConfig(
         strategy=_flag(args, "sampling", file_cfg, "sampling", "strategy", default="priority"),
-        sample_size=_integer(sample_size, "sampling.sample_size"),
-        seed=seed if args.seed is not None else _integer(sampling_seed, "sampling.seed"),
+        sample_size=as_integer(sample_size, "sampling.sample_size"),
+        seed=seed if args.seed is not None else as_integer(sampling_seed, "sampling.seed"),
     )
     serialization = SerializationConfig(
         format=_flag(args, "serialization", file_cfg, "serialization", "format", default="default"),
-        repeat_count=_integer(repeat_count, "serialization.repeat_count"),
+        repeat_count=as_integer(repeat_count, "serialization.repeat_count"),
     )
     provider = EmbeddingProviderConfig(
         kind=_get(file_cfg, "provider", "kind", default="hash"),
-        dimension=None if dimension is None else _integer(dimension, "provider.dimension"),
+        dimension=None if dimension is None else as_integer(dimension, "provider.dimension"),
         endpoint=_get(file_cfg, "provider", "endpoint"),
-        batch_size=_integer(batch_size, "provider.batch_size"),
+        batch_size=as_integer(batch_size, "provider.batch_size"),
         cache_path=_get(file_cfg, "provider", "cache_path"),
     )
 
@@ -218,11 +210,11 @@ def resolve_config(args) -> PipelineConfig:
         sampling=sampling,
         serialization=serialization,
         provider=provider,
-        k=_integer(_get(file_cfg, "k", default=20), "k"),
+        k=as_integer(_get(file_cfg, "k", default=20), "k"),
         reranker=reranker,
         projection_path=projection,
         llm=llm,
-        llm_top_k=_integer(_flag(args, "llm_top_k", file_cfg, "llm_top_k", default=20), "llm_top_k"),
+        llm_top_k=as_integer(_flag(args, "llm_top_k", file_cfg, "llm_top_k", default=20), "llm_top_k"),
         seed=seed,
     )
 

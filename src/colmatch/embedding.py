@@ -12,15 +12,15 @@ import base64
 import hashlib
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 import requests
 
 from .linestore import LineStore
-from .sampling import fnv1a64
+from .sampling import fnv1a64, fnv1a64_many
 
 PROVIDER_KINDS = ("hash", "remote")
 
@@ -59,11 +59,8 @@ class EmbeddingProviderConfig:
         return f"remote:{self.endpoint}"
 
 
-@lru_cache(maxsize=1 << 16)
-def _trigram_hashes(gram: str):
-    raw = gram.encode("utf-8")
-    # two independent draws: plain FNV-1a and a reseeded variant
-    return fnv1a64(raw), fnv1a64(b"\xa5" + raw)
+# the sign draw is FNV-1a over b"\xa5" + trigram, continued from this state
+_SIGN_STATE = fnv1a64(b"\xa5")
 
 
 def normalized(vec: np.ndarray) -> np.ndarray:
@@ -86,14 +83,32 @@ def hash_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
     """
     if dimension < 2:
         raise ValueError("dimension must be >= 2")
-    t = text.lower()
-    if len(t) < 3:
-        t = "\x01" + t + "\x02"
-    acc = np.zeros(dimension, dtype=np.float64)
-    for i in range(len(t) - 2):
-        bucket_hash, sign_hash = _trigram_hashes(t[i : i + 3])
-        acc[bucket_hash % dimension] += 1.0 if sign_hash % 2 == 0 else -1.0
-    return normalized(acc)
+    return _hash_embed_all([text], dimension)[0]
+
+
+def _hash_embed_all(texts: Sequence[str], dimension: int) -> list:
+    """hash_embed of each text; every distinct trigram is hashed once, in one batch."""
+    ids = defaultdict()
+    ids.default_factory = ids.__len__  # a trigram's id is its first-seen position
+    grams, counts = [], []
+    for text in texts:
+        t = text.lower()
+        if len(t) < 3:
+            t = "\x01" + t + "\x02"
+        n = len(t) - 2
+        grams.extend(map(ids.__getitem__, [t[i : i + 3] for i in range(n)]))
+        counts.append(n)
+    raw = [gram.encode("utf-8") for gram in ids]
+    # two independent draws: plain FNV-1a for the bucket, the reseeded one for the sign
+    buckets = (fnv1a64_many(raw) % np.uint64(dimension)).astype(np.intp)
+    signs = 1.0 - 2.0 * (fnv1a64_many(raw, _SIGN_STATE) & np.uint64(1)).astype(np.float64)
+    grams = np.array(grams, dtype=np.intp)
+    rows = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    # sums of +/-1.0 are exact in any order, so this equals adding one trigram at a time
+    acc = np.bincount(
+        rows * dimension + buckets[grams], weights=signs[grams], minlength=len(counts) * dimension
+    )
+    return [normalized(row) for row in acc.reshape(len(counts), dimension)]
 
 
 class VectorCache:
@@ -152,7 +167,7 @@ class HashProvider:
         self.dimension = config.dimension or DEFAULT_DIMENSION
 
     def embed(self, texts: Sequence[str]) -> list:
-        return [hash_embed(text, self.dimension) for text in texts]
+        return _hash_embed_all(texts, self.dimension)
 
 
 class RemoteProvider:
@@ -252,9 +267,3 @@ def get_provider(config: Optional[EmbeddingProviderConfig] = None):
         provider = CachedProvider(provider, config.cache_path, config.provider_id())
     return provider
 
-
-def embed_batch(texts: Sequence[str], config: Optional[EmbeddingProviderConfig] = None) -> list:
-    """Embed texts in order with the configured provider."""
-    if not texts:
-        raise ValueError("texts must be non-empty")
-    return get_provider(config).embed(list(texts))

@@ -16,11 +16,15 @@ from .embedding import EmbeddingProviderConfig, get_provider
 from .finetune import ProjectedProvider, load_head
 from .rerank_llm import DEFAULT_TOP_K, LlmConfig, rerank_llm
 from .retrieval import DEFAULT_K, MatchList, embed_samples, exact_name_override
-from .sampling import SamplerConfig, sample_values
+from .sampling import HASHED_STRATEGIES, SamplerConfig, hash_units, sample_values
 from .serialization import SerializationConfig
 from .tables import Table
 
 RERANKERS = ("none", "bipartite", "llm")
+
+# distinct values hashed per batch: large enough to amortise the kernel's
+# per-byte steps, small enough to keep the batch's arrays out of peak memory
+HASH_BATCH = 2048
 
 # preset -> (reranker, needs a trained projection head)
 PRESETS = {
@@ -29,6 +33,14 @@ PRESETS = {
     "zs-llm": ("llm", False),
     "ft-llm": ("llm", True),
 }
+
+
+def as_integer(value, key: str) -> int:
+    """int(value); a config-file value that int() refuses is a ValueError naming its key."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,25 @@ class PipelineConfig:
 
 
 def column_samples(table: Table, sampling: SamplerConfig) -> dict:
-    return {col.name: sample_values(col, sampling) for col in table.columns}
+    """sample_values for each column, in column order.
+
+    Strategies that rank by hash get their units from hash_units, over the
+    distinct values of consecutive columns until a batch holds HASH_BATCH.
+    """
+    if sampling.strategy not in HASHED_STRATEGIES:
+        return {col.name: sample_values(col, sampling) for col in table.columns}
+    samples = {}
+    pending, distinct = [], set()
+    for i, col in enumerate(table.columns, start=1):
+        pending.append(col)
+        distinct.update(col.values)
+        if len(distinct) >= HASH_BATCH or i == len(table.columns):
+            distinct.discard(None)
+            units = hash_units(sampling.seed, distinct)
+            for held in pending:
+                samples[held.name] = sample_values(held, sampling, units=units)
+            pending, distinct = [], set()
+    return samples
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
+from itertools import compress
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,9 +40,15 @@ def is_missing(cell: Optional[str]) -> bool:
 
 
 def value_counts(cells) -> Counter:
-    """Count of each non-missing cell; missingness is decided once per distinct cell."""
+    """Count of each non-missing cell; missingness is decided once per distinct cell.
+
+    The test is is_missing's, run by C-level maps over the distinct strings.
+    """
     counts = Counter(cells)
-    for cell in [c for c in counts if is_missing(c)]:
+    counts.pop(None, None)
+    keys = list(counts)
+    stripped = map(str.lower, map(str.strip, keys))
+    for cell in compress(keys, map(MISSING_MARKERS.__contains__, stripped)):
         del counts[cell]
     return counts
 

@@ -238,6 +238,25 @@ def fnv1a64_longhand(data):
     return h
 
 
+def hash_embed_longhand(text, dimension):
+    """Signed trigram feature hashing, one trigram at a time, as hash_embed did per text."""
+    import numpy as np
+
+    t = text.lower()
+    if len(t) < 3:
+        t = "\x01" + t + "\x02"
+    acc = np.zeros(dimension, dtype=np.float64)
+    for i in range(len(t) - 2):
+        raw = t[i : i + 3].encode("utf-8")
+        bucket = fnv1a64_longhand(raw) % dimension
+        acc[bucket] += 1.0 if fnv1a64_longhand(b"\xa5" + raw) % 2 == 0 else -1.0
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        acc[0] = 1.0
+        return acc
+    return acc / norm
+
+
 def hash_unit_longhand(seed, value):
     data = (seed % (1 << 64)).to_bytes(8, "little") + value.encode("utf-8")
     return ((fnv1a64_longhand(data) % (1 << 53)) + 1) / (1 << 53)

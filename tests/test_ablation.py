@@ -483,9 +483,9 @@ class TestSharedProfiles:
         calls = Counter()
         for module in (pipeline, retrieval):
 
-            def counting(column, config, original=module.sample_values):
+            def counting(column, config, original=module.sample_values, **kwargs):
                 calls[(column.name, config)] += 1
-                return original(column, config)
+                return original(column, config, **kwargs)
 
             monkeypatch.setattr(module, "sample_values", counting)
         run_grid(grid, tmp_path / "out")

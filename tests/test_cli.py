@@ -534,6 +534,27 @@ class TestAblateCommand:
         assert "MRR" in out
         assert "2 cells" in out
 
+    @staticmethod
+    def _grid(tmp_path, pair, **spec):
+        source, target, gt = pair
+        grid_path = tmp_path / "grid.json"
+        suite = [{"source": str(source), "target": str(target), "ground_truth": str(gt)}]
+        grid_path.write_text(json.dumps({"suite": suite, "repetitions": 1, **spec}), encoding="utf-8")
+        return str(grid_path)
+
+    def test_grid_dimension_as_digits_is_converted(self, tmp_path, pair, capsys):
+        out_dir = tmp_path / "results"
+        code = main(["ablate", "--grid", self._grid(tmp_path, pair, dimension="16"), "--out", str(out_dir)])
+        assert code == 0
+        records = [json.loads(line) for line in (out_dir / "records.jsonl").read_text().splitlines()]
+        assert [r.get("error") for r in records] == [None]
+        assert "n/a" not in capsys.readouterr().out
+
+    def test_grid_dimension_that_is_not_an_integer_exits_one(self, tmp_path, pair, capsys):
+        grid = self._grid(tmp_path, pair, dimension="wide")
+        assert main(["ablate", "--grid", grid, "--out", str(tmp_path / "results")]) == 1
+        assert "error: dimension must be an integer, got 'wide'" in capsys.readouterr().err
+
     def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--grid", "g.json", "--out", str(tmp_path), "--config", "c.json"])

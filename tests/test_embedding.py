@@ -7,13 +7,19 @@ from colmatch.embedding import (
     CachedProvider,
     EmbeddingProviderConfig,
     ProviderError,
+    HashProvider,
     VectorCache,
-    embed_batch,
     get_provider,
     hash_embed,
 )
 
+import oracles
 from stubs import JsonStubServer
+
+
+def embed_batch(texts, config=None):
+    """Embed texts in order with the configured provider."""
+    return get_provider(config).embed(list(texts))
 
 
 def _cos(a, b):
@@ -84,9 +90,24 @@ class TestHashProvider:
         for w, s in zip(whole, singles):
             assert np.array_equal(w, s)
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            embed_batch([])
+    def test_empty_batch_gives_no_vectors(self):
+        assert HashProvider(EmbeddingProviderConfig()).embed([]) == []
+
+    @pytest.mark.parametrize("dimension", [2, 7, 256])
+    def test_batch_equals_stacked_single_texts_bit_for_bit(self, dimension):
+        texts = ["", "ab", "İ", "\U0001f600", "a\U0001f600b", "Patient_Age", "x" * 400, "ab", "ÉRIK é中"]
+        batch = np.stack(HashProvider(EmbeddingProviderConfig(dimension=dimension)).embed(texts))
+        singles = np.stack([hash_embed(text, dimension) for text in texts])
+        longhand = np.stack([oracles.hash_embed_longhand(text, dimension) for text in texts])
+        assert batch.view(np.uint64).tolist() == singles.view(np.uint64).tolist()
+        assert batch.view(np.uint64).tolist() == longhand.view(np.uint64).tolist()
+
+    @given(st.lists(st.text(max_size=12), max_size=8))
+    def test_batch_equals_longhand(self, texts):
+        batch = HashProvider(EmbeddingProviderConfig(dimension=16)).embed(texts)
+        assert len(batch) == len(texts)
+        for text, vec in zip(texts, batch):
+            assert vec.tobytes() == oracles.hash_embed_longhand(text, 16).tobytes()
 
     def test_cache_round_trip(self, tmp_path):
         cache = tmp_path / "vectors.cache"

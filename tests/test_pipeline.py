@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 
 import colmatch.pipeline as pipeline
 import colmatch.retrieval as retrieval
+import colmatch.sampling as sampling
 from colmatch.embedding import EmbeddingProviderConfig, get_provider
 from colmatch.finetune import ProjectionHead, save_head
 from colmatch.pipeline import PRESETS, PipelineConfig, run_pipeline
 from colmatch.rerank_llm import LlmConfig, column_line
-from colmatch.sampling import SamplerConfig
+from colmatch.sampling import STRATEGIES, SamplerConfig
 from colmatch.serialization import SerializationConfig
 from colmatch.tables import Column, Table
 
@@ -152,9 +154,9 @@ class TestRunPipeline:
         calls = Counter()
         for module in (pipeline, retrieval):
 
-            def counting(column, config, original=module.sample_values):
+            def counting(column, config, original=module.sample_values, **kwargs):
                 calls[column.name] += 1
-                return original(column, config)
+                return original(column, config, **kwargs)
 
             monkeypatch.setattr(module, "sample_values", counting)
         serialized = {}
@@ -270,3 +272,42 @@ class TestProfiles:
         )
         with pytest.raises(ValueError, match="head dimension 16 does not match provider dimension 32"):
             run_pipeline(source, target, config)
+
+
+def straddling_table():
+    """Six columns whose distinct values fill more than two hash batches.
+
+    Columns share values, and hold None, NA spellings and non-ASCII cells.
+    """
+    rng = random.Random(5)
+    n = pipeline.HASH_BATCH // 3
+    extras = [None, "NA", " n/a ", "", "é中", "\U0001f600", "shared"]
+    columns = []
+    for i in range(6):
+        cells = [
+            rng.choice(extras) if rng.random() < 0.2 else f"v{i * 3 * n // 4 + rng.randrange(n)}"
+            for _ in range(2 * n)
+        ]
+        columns.append(Column(f"c{i}", tuple(cells)))
+    return Table("straddling", tuple(columns))
+
+
+class TestColumnSamples:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_equals_per_column_sampling_across_batch_boundaries(self, monkeypatch, strategy):
+        table = straddling_table()
+        config = SamplerConfig(strategy, sample_size=7, seed=2**64 - 1)
+        batches = []
+
+        def recording(seed, values, original=pipeline.hash_units):
+            batches.append(len(values))
+            return original(seed, values)
+
+        monkeypatch.setattr(pipeline, "hash_units", recording)
+        got = pipeline.column_samples(table, config)
+        assert list(got) == table.column_names()
+        assert got == {col.name: sampling.sample_values(col, config) for col in table.columns}
+        if strategy in sampling.HASHED_STRATEGIES:
+            assert len(batches) >= 2 and max(batches) > pipeline.HASH_BATCH
+        else:
+            assert batches == []

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,6 +175,32 @@ class TestFnv:
     @given(st.integers(-(2**70), 2**70), st.text(max_size=12))
     def test_hash_unit_matches_longhand(self, seed, value):
         assert hash_unit(seed, value) == oracles.hash_unit_longhand(seed, value)
+
+    @settings(max_examples=60)
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.binary(max_size=12),
+                st.binary(min_size=301, max_size=340),
+                st.text(alphabet="a\x00é中\U0001f600İ", max_size=8).map(str.encode),
+            ),
+            max_size=2 * sampling.SCALAR_TAIL,
+        ),
+        seed=st.sampled_from([None, 0, 2**64 - 1]),
+    )
+    def test_many_equals_longhand_row_by_row(self, rows, seed):
+        if seed is None:
+            got = sampling.fnv1a64_many(rows)
+            prefix = b""
+        else:
+            got = sampling.fnv1a64_many(rows, sampling._seed_state(seed))
+            prefix = seed.to_bytes(8, "little")
+        assert got.dtype == np.uint64 and got.shape == (len(rows),)
+        assert got.tolist() == [oracles.fnv1a64_longhand(prefix + row) for row in rows]
+
+    @given(st.sampled_from([0, 2**64 - 1]), st.lists(st.text(max_size=12), unique=True))
+    def test_hash_units_match_hash_unit(self, seed, values):
+        assert sampling.hash_units(seed, values) == {v: hash_unit(seed, v) for v in values}
 
 
 @settings(max_examples=200)
