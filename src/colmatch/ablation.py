@@ -115,9 +115,9 @@ def load_grid(path) -> ExperimentGrid:
         serialization=tuple(spec.get("serialization", ("default",))),
         rerankers=tuple(spec.get("rerankers", ("none",))),
         projections=tuple(spec.get("projections", (None,))),
-        repetitions=int(spec.get("repetitions", DEFAULT_REPETITIONS)),
+        repetitions=as_integer(spec.get("repetitions", DEFAULT_REPETITIONS), "repetitions"),
         seeds=tuple(spec.get("seeds", (0,))),
-        sample_size=int(spec.get("sample_size", 10)),
+        sample_size=as_integer(spec.get("sample_size", 10), "sample_size"),
         dimension=spec.get("dimension"),
         llm=llm,
     )

@@ -550,10 +550,15 @@ class TestAblateCommand:
         assert [r.get("error") for r in records] == [None]
         assert "n/a" not in capsys.readouterr().out
 
-    def test_grid_dimension_that_is_not_an_integer_exits_one(self, tmp_path, pair, capsys):
-        grid = self._grid(tmp_path, pair, dimension="wide")
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dimension", "wide"), ("seeds", ["many"]), ("repetitions", [2]), ("sample_size", None)],
+    )
+    def test_grid_integer_that_is_not_one_exits_one(self, tmp_path, pair, capsys, key, value):
+        grid = self._grid(tmp_path, pair, **{key: value})
         assert main(["ablate", "--grid", grid, "--out", str(tmp_path / "results")]) == 1
-        assert "error: dimension must be an integer, got 'wide'" in capsys.readouterr().err
+        shown = repr(value[0] if key == "seeds" else value)
+        assert f"error: {key} must be an integer, got {shown}" in capsys.readouterr().err
 
     def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

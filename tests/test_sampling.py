@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import colmatch.sampling as sampling
 import oracles
@@ -188,6 +188,7 @@ class TestFnv:
         ),
         seed=st.sampled_from([None, 0, 2**64 - 1]),
     )
+    @example(rows=[bytes(range(n)) for n in range(0, 3 * sampling.SCALAR_TAIL, 2)], seed=0)
     def test_many_equals_longhand_row_by_row(self, rows, seed):
         if seed is None:
             got = sampling.fnv1a64_many(rows)
