@@ -21,10 +21,10 @@ from typing import Optional
 from .embedding import EmbeddingProviderConfig, get_provider
 from .linestore import LineStore
 from .metrics import evaluate
-from .pipeline import RERANKERS, PipelineConfig, as_integer, column_samples, profile_table
+from .pipeline import PipelineConfig, as_integer, column_samples, profile_table, read_config
 from .rerank_llm import LlmConfig
-from .sampling import STRATEGIES, SamplerConfig
-from .serialization import FORMATS, SerializationConfig
+from .sampling import SamplerConfig
+from .serialization import SerializationConfig
 from .tables import load_ground_truth, load_table
 
 log = logging.getLogger(__name__)
@@ -33,50 +33,40 @@ RECORDS_NAME = "records.jsonl"
 CSV_NAME = "results.csv"
 TABLE_NAME = "results.txt"
 
-DEFAULT_REPETITIONS = 3
-
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Axes and table-pair suite for one ablation run."""
+    """Axes and table-pair suite for one ablation run.
 
-    suite: tuple  # of (source path, target path, ground truth path)
-    sampling: tuple = ("priority",)
-    serialization: tuple = ("default",)
-    rerankers: tuple = ("none",)
-    projections: tuple = (None,)  # head paths; None = frozen base encoder
-    repetitions: int = DEFAULT_REPETITIONS
-    seeds: tuple = (0,)
-    sample_size: int = 10
-    dimension: Optional[int] = None
-    llm: Optional[LlmConfig] = None
+    Each axis defaults to its config class's default.  Building the grid
+    builds every cell's PipelineConfig, without reading any file, so a grid
+    with a cell whose settings cannot run is rejected before the first run.
+    """
+
+    suite: tuple  # of (source, target, ground truth) paths, or objects with those keys
+    sampling: tuple = (SamplerConfig.strategy,)
+    serialization: tuple = (SerializationConfig.format,)
+    rerankers: tuple = (PipelineConfig.reranker,)
+    projections: tuple = (PipelineConfig.projection_path,)  # head paths; None = frozen base encoder
+    repetitions: int = 3
+    seeds: tuple = (PipelineConfig.seed,)
+    sample_size: int = SamplerConfig.sample_size
+    dimension: Optional[int] = EmbeddingProviderConfig.dimension
+    llm: Optional[LlmConfig] = PipelineConfig.llm
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "suite", tuple(tuple(p) for p in self.suite))
-        object.__setattr__(self, "sampling", tuple(self.sampling))
-        object.__setattr__(self, "serialization", tuple(self.serialization))
-        object.__setattr__(self, "rerankers", tuple(self.rerankers))
-        object.__setattr__(self, "projections", tuple(self.projections))
+        object.__setattr__(self, "suite", tuple(_suite_entry(entry) for entry in self.suite))
+        for axis in ("sampling", "serialization", "rerankers", "projections"):
+            object.__setattr__(self, axis, tuple(getattr(self, axis)))
         object.__setattr__(self, "seeds", tuple(as_integer(s, "seeds") for s in self.seeds))
-        if self.dimension is not None:
-            object.__setattr__(self, "dimension", as_integer(self.dimension, "dimension"))
         if not self.suite:
             raise ValueError("suite must list at least one table pair")
-        if any(len(p) != 3 for p in self.suite):
-            raise ValueError("each suite entry needs (source, target, ground_truth) paths")
-        for value in self.sampling:
-            if value not in STRATEGIES:
-                raise ValueError(f"unknown sampling strategy: {value!r}")
-        for value in self.serialization:
-            if value not in FORMATS:
-                raise ValueError(f"unknown serialization format: {value!r}")
-        for value in self.rerankers:
-            if value not in RERANKERS:
-                raise ValueError(f"unknown reranker: {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not self.seeds:
             raise ValueError("at least one seed required")
+        for cell in self.cells():
+            _cell_config(cell, self.seeds[0], self)
 
     def cells(self) -> list:
         """Axis product in declaration order; one dict per cell."""
@@ -100,27 +90,8 @@ def _suite_entry(entry):
 
 
 def load_grid(path) -> ExperimentGrid:
-    spec = json.loads(Path(path).read_text(encoding="utf-8"))
-    suite = tuple(_suite_entry(entry) for entry in spec["suite"])
-    llm = None
-    if spec.get("llm"):
-        llm = LlmConfig(
-            endpoint=spec["llm"]["endpoint"],
-            model=spec["llm"].get("model", "default"),
-            temperature=spec["llm"].get("temperature", 0.0),
-        )
-    return ExperimentGrid(
-        suite=suite,
-        sampling=tuple(spec.get("sampling", ("priority",))),
-        serialization=tuple(spec.get("serialization", ("default",))),
-        rerankers=tuple(spec.get("rerankers", ("none",))),
-        projections=tuple(spec.get("projections", (None,))),
-        repetitions=as_integer(spec.get("repetitions", DEFAULT_REPETITIONS), "repetitions"),
-        seeds=tuple(spec.get("seeds", (0,))),
-        sample_size=as_integer(spec.get("sample_size", 10), "sample_size"),
-        dimension=spec.get("dimension"),
-        llm=llm,
-    )
+    """The grid file read by read_config: absent keys take ExperimentGrid's defaults."""
+    return read_config(ExperimentGrid, json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _projection_label(path) -> str:

@@ -19,8 +19,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .linestore import replace_atomically
+from .pipeline import column_samples
 from .rerank_llm import LlmParseError, complete_with_retries
-from .sampling import SamplerConfig, fnv1a64, sample_values
+# sample_values stays importable from here: bench/tracing.py wraps colmatch.augmentation.sample_values
+from .sampling import SamplerConfig, fnv1a64, sample_values  # noqa: F401
 from .tables import Column, Table
 
 log = logging.getLogger(__name__)
@@ -218,14 +220,9 @@ def build_classes(
     """
     if not target.columns:
         raise ValueError("target table must have at least one column")
-    sampling = sampling or SamplerConfig(strategy="priority", sample_size=10, seed=seed)
     if client is None and n_semantic > 0:
         log.warning("no LLM client configured; classes will be structural only")
-
-    anchors = []
-    for col in target.columns:
-        sample = sample_values(col, sampling)
-        anchors.append((col.name, sample))
+    anchors = list(column_samples(target, sampling or SamplerConfig(seed=seed)).items())
 
     def semantic_for(idx):
         name, sample = anchors[idx]

@@ -16,14 +16,14 @@ from pathlib import Path
 
 from .ablation import load_grid, run_grid
 from .augmentation import build_classes, load_classes, write_classes
-from .embedding import EmbeddingProviderConfig, ProviderError, get_provider
+from .embedding import ProviderError, get_provider
 from .finetune import TrainConfig, train, save_head
 from .metrics import evaluate, write_report
-from .pipeline import PRESETS, RERANKERS, PipelineConfig, as_integer, run_pipeline
-from .rerank_llm import HttpLlmClient, LlmConfig, RecordingLlmClient, ReplayLlmClient
+from .pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
+from .rerank_llm import HttpLlmClient, RecordingLlmClient, ReplayLlmClient
 from .retrieval import write_match_csv, write_match_json
-from .sampling import STRATEGIES, SamplerConfig
-from .serialization import FORMATS, SerializationConfig
+from .sampling import STRATEGIES
+from .serialization import FORMATS
 from .tables import load_ground_truth, load_table
 
 EPILOG = """\
@@ -127,96 +127,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_config(args) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
-    return raw
+# flag -> the dotted paths it sets in the config layout (PipelineConfig.as_dict)
+FLAG_PATHS = {
+    "seed": ("seed", "sampling.seed"),
+    "sampling": ("sampling.strategy",),
+    "sample_size": ("sampling.sample_size",),
+    "serialization": ("serialization.format",),
+    "repeat_k": ("serialization.repeat_count",),
+    "reranker": ("reranker",),
+    "llm_endpoint": ("llm.endpoint",),
+    "llm_model": ("llm.model",),
+    "llm_top_k": ("llm_top_k",),
+    "projection": ("projection_path",),
+}
 
 
-def _get(node: dict, *keys, default=None):
-    for key in keys:
-        if not isinstance(node, dict) or key not in node or node[key] is None:
-            return default
-        node = node[key]
-    return node
-
-
-def _flag(args, name, file_cfg, *keys, default=None):
-    """The flag `name` when given (an explicit 0 included), else the config file value."""
-    value = getattr(args, name, None)
-    return value if value is not None else _get(file_cfg, *keys, default=default)
+def _lay_over(spec: dict, path: str, value) -> None:
+    """Set `path` in `spec`, making absent or null sections; from_dict rejects any other non-object."""
+    *sections, key = path.split(".")
+    for name in sections:
+        if spec.get(name) is None:
+            spec[name] = {}
+        spec = spec[name]
+        if not isinstance(spec, dict):
+            return
+    spec[key] = value
 
 
 def resolve_config(args) -> PipelineConfig:
-    """defaults < config file < preset < explicit flags.
+    """defaults < config file < preset < explicit flags, read by PipelineConfig.from_dict.
 
     Every subcommand but ablate takes its seed, provider and LLM settings
-    from here; flags a subcommand does not define count as absent.
+    from here; flags a subcommand does not define count as absent, and an
+    explicit 0 counts as given.
     """
-    file_cfg = _file_config(args)
-    seed = args.seed if args.seed is not None else as_integer(_get(file_cfg, "seed", default=0), "seed")
+    spec = {} if args.config is None else json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(spec, dict):
+        raise ValueError("config file must hold a JSON object")
+    preset = getattr(args, "preset", None)
+    if preset:
+        _lay_over(spec, "reranker", PRESETS[preset][0])
+    for name, paths in FLAG_PATHS.items():
+        if getattr(args, name, None) is not None:
+            for path in paths:
+                _lay_over(spec, path, getattr(args, name))
+    if preset and PRESETS[preset][1] and spec.get("projection_path") is None:
+        raise ValueError(f"preset {preset} requires --projection")
 
-    preset_reranker = None
-    preset_needs_head = False
-    if getattr(args, "preset", None):
-        preset_reranker, preset_needs_head = PRESETS[args.preset]
-
-    reranker = (
-        args.reranker
-        if getattr(args, "reranker", None)
-        else (preset_reranker or _get(file_cfg, "reranker", default="none"))
-    )
-    projection = getattr(args, "projection", None) or _get(file_cfg, "projection_path")
-    if preset_needs_head and projection is None:
-        raise ValueError(f"preset {args.preset} requires --projection")
-
-    sample_size = _flag(args, "sample_size", file_cfg, "sampling", "sample_size", default=10)
-    repeat_count = _flag(args, "repeat_k", file_cfg, "serialization", "repeat_count", default=5)
-    dimension = _get(file_cfg, "provider", "dimension")
-    batch_size = _get(file_cfg, "provider", "batch_size", default=32)
-    sampling_seed = _get(file_cfg, "sampling", "seed", default=seed)
-    sampling = SamplerConfig(
-        strategy=_flag(args, "sampling", file_cfg, "sampling", "strategy", default="priority"),
-        sample_size=as_integer(sample_size, "sampling.sample_size"),
-        seed=seed if args.seed is not None else as_integer(sampling_seed, "sampling.seed"),
-    )
-    serialization = SerializationConfig(
-        format=_flag(args, "serialization", file_cfg, "serialization", "format", default="default"),
-        repeat_count=as_integer(repeat_count, "serialization.repeat_count"),
-    )
-    provider = EmbeddingProviderConfig(
-        kind=_get(file_cfg, "provider", "kind", default="hash"),
-        dimension=None if dimension is None else as_integer(dimension, "provider.dimension"),
-        endpoint=_get(file_cfg, "provider", "endpoint"),
-        batch_size=as_integer(batch_size, "provider.batch_size"),
-        cache_path=_get(file_cfg, "provider", "cache_path"),
-    )
-
-    endpoint = getattr(args, "llm_endpoint", None) or _get(file_cfg, "llm", "endpoint")
-    if endpoint is None and reranker == "llm" and getattr(args, "replay", None):
-        endpoint = "replay://local"  # transport is never used, the client is
-    llm = None
-    if endpoint is not None:
-        llm = LlmConfig(
-            endpoint=endpoint,
-            model=getattr(args, "llm_model", None) or _get(file_cfg, "llm", "model", default="default"),
-            temperature=float(_get(file_cfg, "llm", "temperature", default=0.0)),
-        )
-
-    return PipelineConfig(
-        sampling=sampling,
-        serialization=serialization,
-        provider=provider,
-        k=as_integer(_get(file_cfg, "k", default=20), "k"),
-        reranker=reranker,
-        projection_path=projection,
-        llm=llm,
-        llm_top_k=as_integer(_flag(args, "llm_top_k", file_cfg, "llm_top_k", default=20), "llm_top_k"),
-        seed=seed,
-    )
+    llm = spec.get("llm")
+    if llm is None or isinstance(llm, dict) and "endpoint" not in llm:
+        if spec.get("reranker") == "llm" and getattr(args, "replay", None):
+            # transport is never used, the client is
+            spec["llm"] = {**(llm or {}), "endpoint": "replay://local"}
+        else:
+            spec.pop("llm", None)  # no endpoint, no LLM: its model and temperature go unused
+    return PipelineConfig.from_dict(spec)
 
 
 def _llm_client(args, llm):

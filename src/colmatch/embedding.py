@@ -25,7 +25,6 @@ from .sampling import fnv1a64, fnv1a64_many
 PROVIDER_KINDS = ("hash", "remote")
 
 DEFAULT_DIMENSION = 256
-DEFAULT_BATCH_SIZE = 32
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_SECONDS = 0.5  # doubled after each failed attempt
 REQUEST_TIMEOUT_SECONDS = 30.0
@@ -40,7 +39,7 @@ class EmbeddingProviderConfig:
     kind: str = "hash"
     dimension: Optional[int] = None  # None: 256 for hash, provider-reported for remote
     endpoint: Optional[str] = None
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: int = 32
     cache_path: Optional[str] = None
 
     def __post_init__(self) -> None:

@@ -6,6 +6,8 @@ the matrix {plain encoder, fine-tuned projection} x {bipartite, llm}.
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +43,54 @@ def as_integer(value, key: str) -> int:
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
+def as_number(value, key: str) -> float:
+    """float(value); a config-file value that float() refuses is a ValueError naming its key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def read_config(cls, spec, path: str = ""):
+    """cls built from the JSON object `spec`, found at dotted `path` in its file.
+
+    An absent key, or null where the field defaults to None, takes the
+    default; any other null is an error.  int and float fields go through
+    as_integer and as_number, str fields must be strings, tuple fields
+    lists, and config-class fields are read the same way.  Other keys are
+    ignored.  Errors name the key's path; range checks are cls's own.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path or 'config'} must be a JSON object, got {spec!r}")
+    hints = typing.get_type_hints(cls)
+    given = {}
+    for field in dataclasses.fields(cls):
+        key = f"{path}.{field.name}" if path else field.name
+        if field.name not in spec:
+            if field.default is dataclasses.MISSING:
+                raise ValueError(f"{key} is required")
+            continue
+        value = spec[field.name]
+        if value is None and field.default is None:
+            continue
+        hint = hints[field.name]
+        kind = next((t for t in typing.get_args(hint) if t is not type(None)), hint)  # Optional[X]: X
+        if dataclasses.is_dataclass(kind):
+            value = read_config(kind, value, key)
+        elif kind is int:
+            value = as_integer(value, key)
+        elif kind is float:
+            value = as_number(value, key)
+        elif kind is str and not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        elif kind is tuple:
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must be a list, got {value!r}")
+            value = tuple(value)
+        given[field.name] = value
+    return cls(**given)
 
 
 @dataclass(frozen=True)
@@ -100,6 +150,19 @@ class PipelineConfig:
             "llm_top_k": self.llm_top_k,
             "seed": self.seed,
         }
+
+    @classmethod
+    def from_dict(cls, spec) -> PipelineConfig:
+        """The inverse of as_dict, read by read_config.
+
+        A sampling section without a seed takes the top-level seed, as an
+        absent section does.
+        """
+        config = read_config(cls, spec)
+        if "seed" in (spec.get("sampling") or {}):
+            return config
+        sampling = dataclasses.replace(config.sampling, seed=config.seed)
+        return dataclasses.replace(config, sampling=sampling)
 
 
 def column_samples(table: Table, sampling: SamplerConfig) -> dict:

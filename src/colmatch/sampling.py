@@ -23,8 +23,6 @@ from .tables import Column, value_counts
 STRATEGIES = ("priority", "coordinated", "weighted", "frequency", "random")
 HASHED_STRATEGIES = ("priority", "coordinated")  # the strategies that rank by hash_unit
 
-DEFAULT_SAMPLE_SIZE = 10
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -106,7 +104,7 @@ def hash_units(seed: int, values) -> dict:
 @dataclass(frozen=True)
 class SamplerConfig:
     strategy: str = "priority"
-    sample_size: int = DEFAULT_SAMPLE_SIZE
+    sample_size: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:

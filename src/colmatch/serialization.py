@@ -12,8 +12,6 @@ from typing import Optional, Sequence
 
 FORMATS = ("default", "verbose", "repeat", "header_only")
 
-DEFAULT_REPEAT_COUNT = 5
-
 CLS = "[CLS]"
 SEP = "[SEP]"
 
@@ -21,7 +19,7 @@ SEP = "[SEP]"
 @dataclass(frozen=True)
 class SerializationConfig:
     format: str = "default"
-    repeat_count: int = DEFAULT_REPEAT_COUNT
+    repeat_count: int = 5
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colmatch.pipeline as pipeline
 from colmatch.augmentation import (
     AugmentationParseError,
     ClassMember,
@@ -17,6 +18,7 @@ from colmatch.augmentation import (
     write_classes,
 )
 from colmatch.rerank_llm import LlmTransportError, RecordingLlmClient, ReplayLlmClient
+from colmatch.sampling import SamplerConfig, sample_values
 from colmatch.tables import Column, Table
 
 
@@ -195,6 +197,25 @@ class TestBuildClasses:
         col = Column("wide", tuple(f"v{i:02d}" for i in range(12)))
         classes = build_classes(Table("t", (col,)), seed=1)
         assert len(classes[0].anchor.values) == 10
+
+    def test_anchors_are_sampled_in_hash_batches_as_column_by_column(self, monkeypatch):
+        # five columns of 1000 values, each sharing half with the next: two batches
+        columns = tuple(
+            Column(f"c{i}", tuple(f"v{j}" for j in range(500 * i, 500 * i + 1000)))
+            for i in range(5)
+        )
+        batches = []
+
+        def recording(seed, values, original=pipeline.hash_units):
+            batches.append(len(values))
+            return original(seed, values)
+
+        monkeypatch.setattr(pipeline, "hash_units", recording)
+        classes = build_classes(Table("t", columns), n_structural=0, seed=3)
+        assert [c.anchor.values for c in classes] == [
+            tuple(sample_values(col, SamplerConfig(seed=3))) for col in columns
+        ]
+        assert len(batches) == 2 and max(batches) > pipeline.HASH_BATCH
 
     def test_parse_failures_retry_three_times_then_structural_only(self, caplog):
         client = FakeClient([";;", " , a, b", "   ", "unused, v"])

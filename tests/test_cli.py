@@ -1,11 +1,14 @@
 import functools
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from colmatch import embedding
+from colmatch.ablation import load_grid
 from colmatch.augmentation import load_classes
 from colmatch.cli import EPILOG, build_parser, main, resolve_config
 from colmatch.embedding import hash_embed
@@ -271,6 +274,19 @@ class TestEvaluate:
         assert config["serialization"]["format"] == "verbose"
         assert config["seed"] == 5
 
+    def test_report_config_read_back_as_config_gives_the_same_block(self, tmp_path, pair):
+        source, target, gt = pair
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        flags = ["--sampling", "coordinated", "--sample-size", "4", "--seed", "3", "--repeat-k", "2",
+                 "--serialization", "repeat", "--reranker", "bipartite", "--llm-top-k", "6"]
+        assert main(["evaluate", str(source), str(target), str(gt), "--report", str(first), *flags]) == 0
+        config = write_config(tmp_path / "cfg.json", json.loads(first.read_text(encoding="utf-8"))["config"])
+        code = main(["evaluate", str(source), str(target), str(gt), "--report", str(second), "--config", config])
+        assert code == 0
+        blocks = [json.loads(path.read_text(encoding="utf-8"))["config"] for path in (first, second)]
+        assert blocks[0]["sampling"] == {"strategy": "coordinated", "sample_size": 4, "seed": 3}
+        assert blocks[1] == blocks[0]
+
 
 class TestConfigResolution:
     def args_for(self, argv):
@@ -364,6 +380,47 @@ class TestConfigResolution:
         args = self.args_for(["match", str(source), str(target), "--config", config])
         value = functools.reduce(getattr, keys, resolve_config(args))
         assert value == 32 and isinstance(value, int)
+
+    @pytest.mark.parametrize("value", [[1], "hot"])
+    def test_config_file_temperature_that_is_not_a_number_exits_one(self, tmp_path, pair, capsys, value):
+        source, target, _ = pair
+        config = write_config(tmp_path / "cfg.json", {"llm": {"endpoint": "http://127.0.0.1:9", "temperature": value}})
+        out = str(tmp_path / "m")
+        code = main(["match", str(source), str(target), "--out", out, "--config", config])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: llm.temperature must be a number, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("reranker",), "reranker must be a string, got None"),
+            (("sampling", "strategy"), "sampling.strategy must be a string, got None"),
+            (("sampling", "sample_size"), "sampling.sample_size must be an integer, got None"),
+            (("llm_top_k",), "llm_top_k must be an integer, got None"),
+        ],
+    )
+    def test_config_file_null_where_the_default_is_not_none_exits_one(
+        self, tmp_path, pair, capsys, keys, message
+    ):
+        source, target, _ = pair
+        config = write_config(tmp_path / "cfg.json", nested(keys, None))
+        out = str(tmp_path / "m")
+        assert main(["match", str(source), str(target), "--out", out, "--config", config]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_file_null_where_the_default_is_none_is_absent(self, tmp_path, pair):
+        source, target, _ = pair
+        spec = {"sampling": None, "projection_path": None, "llm": None, "provider": {"dimension": None}}
+        args = self.args_for(["match", str(source), str(target), "--config", write_config(tmp_path / "c.json", spec)])
+        assert resolve_config(args) == PipelineConfig()
+
+    def test_config_file_section_that_is_not_an_object_exits_one(self, tmp_path, pair, capsys):
+        source, target, _ = pair
+        config = write_config(tmp_path / "cfg.json", {"sampling": ["priority"]})
+        out = str(tmp_path / "m")
+        code = main(["match", str(source), str(target), "--out", out, "--config", config, "--sample-size", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sampling must be a JSON object, got ['priority']\n"
 
     def test_serialization_flag_accepts_hyphenated_token(self, pair):
         source, target, _ = pair
@@ -560,11 +617,53 @@ class TestAblateCommand:
         shown = repr(value[0] if key == "seeds" else value)
         assert f"error: {key} must be an integer, got {shown}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dimension", 1, "dimension must be >= 2"),
+            ("sample_size", 0, "sample_size must be >= 1"),
+            ("rerankers", ["llm"], "llm endpoint required"),
+        ],
+    )
+    def test_grid_that_no_cell_could_run_exits_one(self, tmp_path, pair, capsys, key, value, message):
+        out_dir = tmp_path / "results"
+        assert main(["ablate", "--grid", self._grid(tmp_path, pair, **{key: value}), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out_dir / "records.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            *[(axis, None, f"{axis} must be a list, got None")
+              for axis in ("sampling", "serialization", "rerankers", "projections", "seeds")],
+            ("llm", {"endpoint": "http://x", "temperature": [1]}, "llm.temperature must be a number, got [1]"),
+            ("llm", {"endpoint": "http://x", "temperature": "hot"}, "llm.temperature must be a number, got 'hot'"),
+        ],
+    )
+    def test_grid_value_of_the_wrong_type_exits_one(self, tmp_path, pair, capsys, key, value, message):
+        out_dir = tmp_path / "results"
+        assert main(["ablate", "--grid", self._grid(tmp_path, pair, **{key: value}), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--grid", "g.json", "--out", str(tmp_path), "--config", "c.json"])
         assert exc.value.code == 2
         assert "--config" in capsys.readouterr().err
+
+
+class TestReadmeExamples:
+    def test_every_json_example_reads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        examples = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+        configs = [spec for spec in examples if "suite" not in spec]
+        grids = [spec for spec in examples if "suite" in spec]
+        assert [PipelineConfig.from_dict(spec).provider.kind for spec in configs] == ["remote", "hash"]
+        assert PipelineConfig.from_dict(configs[1]).provider.cache_path == "vectors.cache"
+        assert len(grids) == 1
+        grid = load_grid(write_config(tmp_path / "grid.json", grids[0]))
+        assert len(grid.cells()) == 8 and grid.seeds == (0, 1, 2)
 
 
 class TestConsoleScript:

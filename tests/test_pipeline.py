@@ -1,18 +1,20 @@
+import json
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import colmatch.pipeline as pipeline
 import colmatch.retrieval as retrieval
 import colmatch.sampling as sampling
-from colmatch.embedding import EmbeddingProviderConfig, get_provider
+from colmatch.embedding import PROVIDER_KINDS, EmbeddingProviderConfig, get_provider
 from colmatch.finetune import ProjectionHead, save_head
-from colmatch.pipeline import PRESETS, PipelineConfig, run_pipeline
+from colmatch.pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
 from colmatch.rerank_llm import LlmConfig, column_line
 from colmatch.sampling import STRATEGIES, SamplerConfig
-from colmatch.serialization import SerializationConfig
+from colmatch.serialization import FORMATS, SerializationConfig
 from colmatch.tables import Column, Table
 
 from helpers import ScriptedLlmClient
@@ -84,6 +86,95 @@ class TestConfig:
             "zs-llm": ("llm", False),
             "ft-llm": ("llm", True),
         }
+
+
+@st.composite
+def pipeline_configs(draw):
+    """PipelineConfigs as as_dict writes them: default batch_size, cache_path, max_concurrent."""
+    text = st.text(min_size=1, max_size=8)
+    seeds = st.integers(-(2**63), 2**64)
+    kind = draw(st.sampled_from(PROVIDER_KINDS))
+    reranker = draw(st.sampled_from(RERANKERS))
+    llm = None
+    if reranker == "llm" or draw(st.booleans()):
+        temperature = draw(st.floats(0, 2, allow_nan=False))
+        llm = LlmConfig(endpoint=draw(text), model=draw(text), temperature=temperature)
+    return PipelineConfig(
+        sampling=SamplerConfig(draw(st.sampled_from(STRATEGIES)), draw(st.integers(1, 99)), draw(seeds)),
+        serialization=SerializationConfig(draw(st.sampled_from(FORMATS)), draw(st.integers(1, 9))),
+        provider=EmbeddingProviderConfig(
+            kind=kind,
+            dimension=draw(st.none() | st.integers(2, 4096)),
+            endpoint=draw(text if kind == "remote" else st.none() | text),
+        ),
+        k=draw(st.integers(1, 99)),
+        reranker=reranker,
+        projection_path=draw(st.none() | text),
+        llm=llm,
+        llm_top_k=draw(st.integers(1, 99)),
+        seed=draw(seeds),
+    )
+
+
+class TestFromDict:
+    @settings(max_examples=200, deadline=None)
+    @given(pipeline_configs())
+    def test_reads_back_what_as_dict_writes(self, config):
+        assert PipelineConfig.from_dict(config.as_dict()) == config
+        assert PipelineConfig.from_dict(json.loads(json.dumps(config.as_dict()))) == config
+
+    def test_absent_keys_take_the_defaults(self):
+        assert PipelineConfig.from_dict({}) == PipelineConfig()
+        assert PipelineConfig.from_dict({"sampling": {}, "llm": None}) == PipelineConfig()
+
+    def test_a_sampling_section_without_a_seed_takes_the_top_level_seed(self):
+        config = PipelineConfig.from_dict({"seed": "9", "sampling": {"strategy": "random"}})
+        assert config.sampling == SamplerConfig(strategy="random", seed=9)
+        config = PipelineConfig.from_dict({"seed": 9, "sampling": {"seed": 4}})
+        assert (config.seed, config.sampling.seed) == (9, 4)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"sampling": None},
+            {"provider": {"dimension": None, "endpoint": None, "cache_path": None}},
+            {"projection_path": None},
+            {"llm": None},
+        ],
+    )
+    def test_null_is_absent_where_the_default_is_none(self, spec):
+        assert PipelineConfig.from_dict(spec) == PipelineConfig()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"reranker": None}, "reranker must be a string, got None"),
+            ({"k": None}, "k must be an integer, got None"),
+            ({"sampling": {"strategy": None}}, "sampling.strategy must be a string, got None"),
+            ({"provider": {"batch_size": None}}, "provider.batch_size must be an integer, got None"),
+            ({"llm": {"endpoint": "e", "model": None}}, "llm.model must be a string, got None"),
+            ({"llm": {"endpoint": "e", "temperature": None}}, "llm.temperature must be a number, got None"),
+            ({"llm": {"endpoint": "e", "temperature": [1]}}, r"llm.temperature must be a number, got \[1\]"),
+            ({"llm": {"endpoint": "e", "temperature": "hot"}}, "llm.temperature must be a number, got 'hot'"),
+            ({"llm": {"model": "m"}}, "llm.endpoint is required"),
+            ({"sampling": 5}, "sampling must be a JSON object, got 5"),
+            ({"llm": []}, r"llm must be a JSON object, got \[\]"),
+            ([], r"config must be a JSON object, got \[\]"),
+        ],
+    )
+    def test_every_error_names_its_key(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PipelineConfig.from_dict(spec)
+
+    def test_numbers_as_digits_are_converted(self):
+        config = PipelineConfig.from_dict({"k": "7", "llm": {"endpoint": "e", "temperature": "0.5"}})
+        assert (config.k, config.llm.temperature) == (7, 0.5)
+
+    def test_value_checks_stay_with_the_config_classes(self):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            PipelineConfig.from_dict({"provider": {"dimension": 1}})
+        with pytest.raises(ValueError, match="llm endpoint required"):
+            PipelineConfig.from_dict({"reranker": "llm"})
 
 
 class TestRunPipeline:
