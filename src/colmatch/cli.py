@@ -44,6 +44,7 @@ flags across subcommands:
   --record          write prompt/response transcript while running live
   --report          evaluation report output path (JSON)
   --classes         training classes file (JSON lines)
+  --epochs          training epochs for finetune
   --grid            ablation grid spec (JSON)
   --out             output path or directory
   --no-llm          augment without semantic variants

@@ -26,7 +26,7 @@ from .metrics import mrr, recall_at_gt
 from .retrieval import MatchCandidate, MatchList, name_ranks, top_k
 from .sampling import fnv1a64
 from .serialization import SerializationConfig, serialize
-from .tables import Column, GroundTruth, infer_type
+from .tables import Column, GroundTruth
 
 log = logging.getLogger(__name__)
 
@@ -196,7 +196,7 @@ def loss_gradient(batch: TripletBatch, margin: float, matrix: np.ndarray) -> np.
 
 def _member_text(name: str, values: Sequence[str]) -> str:
     deduped = list(dict.fromkeys(values))
-    type_label = infer_type(Column(name, tuple(deduped)))
+    type_label = Column(name, deduped).inferred_type
     return serialize(name, type_label, deduped, SerializationConfig())
 
 

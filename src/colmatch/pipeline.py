@@ -38,8 +38,10 @@ PRESETS = {
 
 
 def as_integer(value, key: str) -> int:
-    """int(value); a config-file value that int() refuses is a ValueError naming its key."""
+    """int(value) of an int, integral float or digit string; else a ValueError naming `key`."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} must be an integer, got {value!r}") from None

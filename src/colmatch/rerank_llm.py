@@ -81,8 +81,8 @@ class LlmConfig:
     def __post_init__(self) -> None:
         if not self.endpoint:
             raise ValueError("llm endpoint required")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < float("inf"):  # false for NaN too
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tables import Column, value_counts
+from .tables import Column
 
 STRATEGIES = ("priority", "coordinated", "weighted", "frequency", "random")
 HASHED_STRATEGIES = ("priority", "coordinated")  # the strategies that rank by hash_unit
@@ -124,7 +124,8 @@ def sample_values(column: Column, config: SamplerConfig, units: Optional[dict] =
     distinct value to its hash_unit(config.seed, value), as hash_units
     returns it; without it each value is hashed here.
     """
-    freq = value_counts(column.values)
+    freq = Counter(column.values)
+    freq.pop(None, None)
     if not freq:
         return []
     if config.strategy in HASHED_STRATEGIES and units is None:

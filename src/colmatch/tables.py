@@ -1,8 +1,9 @@
 """Tables, columns, and ground-truth loading.
 
 A table is an ordered list of named columns; each column keeps its cells in
-file order.  Missing cells are stored as None.  Besides the empty string,
-the usual NA spellings count as missing (see MISSING_MARKERS).
+file order.  Missing cells (blank, or an NA spelling in any case; see
+MISSING_MARKERS) are stored as None.  A Column finds them and its type itself,
+so one built in memory equals the one load_table reads from the same cells.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from itertools import compress
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 MISSING_MARKERS = frozenset({"", "na", "n/a", "null", "none"})
 
@@ -70,21 +71,29 @@ def _is_date(cell: str) -> bool:
 
 @dataclass(frozen=True)
 class Column:
-    """A named column with its cell values (None marks a missing cell)."""
+    """A named column; cells that is_missing accepts are stored as None.
+
+    inferred_type, by precedence: unknown (no cells), key (distinct ratio >
+    0.90), binary (2 distinct), numerical (>= 95% decimal), date (>= 95%
+    ISO-8601 calendar date, optional time), else categorical.
+    """
 
     name: str
     values: tuple
-    inferred_type: str = "unknown"
+    inferred_type: str = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.name.strip():
             raise ValueError("column name must be non-empty")
-        if self.inferred_type not in TYPE_LABELS:
-            raise ValueError(f"unknown type label: {self.inferred_type!r}")
-        object.__setattr__(self, "values", tuple(self.values))
+        values = tuple(self.values)
+        counts = value_counts(values)
+        if sum(counts.values()) < len(values):
+            values = tuple(v if v in counts else None for v in values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "inferred_type", _classify(counts))
 
     def non_missing(self) -> list:
-        return [v for v in self.values if not is_missing(v)]
+        return [v for v in self.values if v is not None]
 
 
 @dataclass(frozen=True)
@@ -126,18 +135,8 @@ class GroundTruth:
         return {dst for src, dst in self.pairs if src == source}
 
 
-def infer_type(column: Column) -> str:
-    """Classify a column by its non-missing cells.
-
-    Precedence: unknown (no usable cells), key (distinct ratio > 0.90),
-    binary (exactly 2 distinct), numerical (>= 95% decimal), date (>= 95%
-    ISO-8601 calendar date, optional time suffix), else categorical.
-    """
-    return _classify(value_counts(column.values))
-
-
 def _classify(counts: Counter) -> str:
-    """infer_type over a non-missing value -> count map; each value parses once."""
+    """Column's type label from its non-missing value -> count map; each value parses once."""
     n = sum(counts.values())
     if not n:
         return "unknown"
@@ -155,8 +154,9 @@ def _classify(counts: Counter) -> str:
 def load_table(path, name: Optional[str] = None) -> Table:
     """Read a UTF-8 CSV with a header row into a Table.
 
-    Cells equal to a missing marker become None.  Short rows are padded
-    with missing cells; rows wider than the header are rejected.  The
+    Short rows are padded with missing cells; rows wider than the header
+    are rejected.  Missing cells, types and the header's names are Column's
+    and Table's to check; their errors are prefixed with the path.  The
     table name defaults to the file stem.
     """
     p = Path(path)
@@ -172,14 +172,6 @@ def load_table(path, name: Optional[str] = None) -> Table:
     if not rows:
         raise ValueError(f"{p}: empty file, expected a header row")
     header = rows[0]
-    seen = set()
-    for cell in header:
-        if not cell.strip():
-            raise ValueError(f"{p}: empty header cell")
-        if cell in seen:
-            raise ValueError(f"{p}: duplicate header {cell!r}")
-        seen.add(cell)
-
     body = rows[1:]
     width = len(header)
     for lineno, row in enumerate(body, start=2):
@@ -187,13 +179,11 @@ def load_table(path, name: Optional[str] = None) -> Table:
             raise ValueError(f"{p}: row {lineno} has {len(row)} cells, header has {width}")
         row.extend([""] * (width - len(row)))
 
-    columns = []
-    for cname, cells in zip(header, zip(*body) if body else [()] * width):
-        counts = value_counts(cells)
-        if sum(counts.values()) < len(cells):
-            cells = [c if c in counts else None for c in cells]
-        columns.append(Column(cname, tuple(cells), _classify(counts)))
-    return Table(name, tuple(columns))
+    columns = zip(*body) if body else [()] * width
+    try:
+        return Table(name, [Column(h, cells) for h, cells in zip(header, columns)])
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
 
 
 def load_ground_truth(path) -> GroundTruth:

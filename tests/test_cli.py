@@ -48,6 +48,11 @@ CONFIG_INTEGERS = [
 ]
 
 
+# config-file values for an integer setting that are not integers, with their
+# test-id suffixes; "many" keeps the ids the tests had before the others
+NOT_INTEGERS = [("many", ""), (True, "-true"), (2.9, "-2.9"), (float("inf"), "-inf"), (float("nan"), "-nan")]
+
+
 ALL_FLAGS = [
     "--sampling",
     "--sample-size",
@@ -67,6 +72,7 @@ ALL_FLAGS = [
     "--classes",
     "--projection",
     "--no-llm",
+    "--epochs",
 ]
 
 
@@ -361,16 +367,21 @@ class TestConfigResolution:
         assert code == 1
         assert "sample_size must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("keys", CONFIG_INTEGERS, ids=".".join)
-    def test_config_file_integer_that_is_not_one_exits_one(self, tmp_path, pair, capsys, keys):
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            pytest.param(keys, value, id=".".join(keys) + suffix)
+            for keys in CONFIG_INTEGERS
+            for value, suffix in NOT_INTEGERS
+        ],
+    )
+    def test_config_file_integer_that_is_not_one_exits_one(self, tmp_path, pair, capsys, keys, value):
         source, target, _ = pair
-        config = write_config(tmp_path / "cfg.json", nested(keys, "many"))
+        config = write_config(tmp_path / "cfg.json", nested(keys, value))
         out = str(tmp_path / "m")
         code = main(["match", str(source), str(target), "--out", out, "--config", config])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert f"{'.'.join(keys)} must be an integer, got 'many'" in err
+        assert capsys.readouterr().err == f"error: {'.'.join(keys)} must be an integer, got {value!r}\n"
 
     @pytest.mark.parametrize("keys", CONFIG_INTEGERS, ids=".".join)
     def test_config_file_integer_as_digits_is_converted(self, tmp_path, pair, keys):
@@ -380,6 +391,16 @@ class TestConfigResolution:
         args = self.args_for(["match", str(source), str(target), "--config", config])
         value = functools.reduce(getattr, keys, resolve_config(args))
         assert value == 32 and isinstance(value, int)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_config_file_temperature_that_is_not_finite_exits_one(self, tmp_path, pair, capsys, value):
+        source, target, _ = pair
+        config = write_config(tmp_path / "cfg.json", {"llm": {"endpoint": "http://127.0.0.1:9", "temperature": value}})
+        out = str(tmp_path / "m")
+        code = main(["match", str(source), str(target), "--out", out, "--config", config, "--reranker", "llm"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: temperature must be finite and >= 0, got {value!r}\n"
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("value", [[1], "hot"])
     def test_config_file_temperature_that_is_not_a_number_exits_one(self, tmp_path, pair, capsys, value):
@@ -609,13 +630,22 @@ class TestAblateCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("dimension", "wide"), ("seeds", ["many"]), ("repetitions", [2]), ("sample_size", None)],
+        [
+            ("dimension", "wide"),
+            ("seeds", ["many"]),
+            ("repetitions", [2]),
+            ("sample_size", None),
+            ("dimension", True),
+            ("seeds", [2.9]),
+            ("repetitions", float("inf")),
+            ("sample_size", float("nan")),
+        ],
     )
     def test_grid_integer_that_is_not_one_exits_one(self, tmp_path, pair, capsys, key, value):
         grid = self._grid(tmp_path, pair, **{key: value})
         assert main(["ablate", "--grid", grid, "--out", str(tmp_path / "results")]) == 1
         shown = repr(value[0] if key == "seeds" else value)
-        assert f"error: {key} must be an integer, got {shown}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {key} must be an integer, got {shown}\n"
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -675,3 +705,30 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "match" in result.stdout
+
+
+class TestScipyImport:
+    def test_scipy_loads_only_for_a_bipartite_run(self, tmp_path, pair):
+        # a fresh interpreter, so no other test's import counts
+        source, target, _ = pair
+        script = (
+            "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return len([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+            "from colmatch.cli import build_parser, main\n"
+            "build_parser()\n"
+            "seen = [scipy_modules()]\n"
+            "for reranker in ('none', 'bipartite'):\n"
+            f"    out = {str(tmp_path)!r} + '/' + reranker\n"
+            f"    code = main(['match', {str(source)!r}, {str(target)!r}, '--out', out, '--reranker', reranker])\n"
+            "    seen += [code, scipy_modules()]\n"
+            "print(json.dumps(seen))\n"
+        )
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        after_import, none_code, after_none, bipartite_code, after_bipartite = json.loads(
+            result.stdout.splitlines()[-1]
+        )
+        assert (after_import, none_code, after_none, bipartite_code) == (0, 0, 0, 0)
+        assert after_bipartite > 0

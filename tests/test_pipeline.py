@@ -15,9 +15,9 @@ from colmatch.pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
 from colmatch.rerank_llm import LlmConfig, column_line
 from colmatch.sampling import STRATEGIES, SamplerConfig
 from colmatch.serialization import FORMATS, SerializationConfig
-from colmatch.tables import Column, Table
+from colmatch.tables import Column, Table, load_table
 
-from helpers import ScriptedLlmClient
+from helpers import ScriptedLlmClient, write_csv
 
 
 def identity_tables(n=4):
@@ -283,6 +283,23 @@ class TestRunPipeline:
             for line in lines:
                 name = line[len("Column: ") : line.index(", Sample values: ")]
                 assert line == column_line(name, serialized[name])
+
+    def test_built_tables_match_like_the_same_tables_loaded_from_csv(self, tmp_path):
+        # NA spellings and the type token must not depend on how a table was built
+        cells = {
+            "src": {"amount": ("10", "20", "10", "30"), "city": ("NA", "Oslo", "Rome", "Oslo")},
+            "tgt": {"amount_total": ("20", "10", "30", "20"), "city_name": ("Rome", "Oslo", "n/a", "Rome")},
+        }
+        built, loaded = [], []
+        for name, columns in cells.items():
+            built.append(Table(name, [Column(h, values) for h, values in columns.items()]))
+            path = write_csv(tmp_path / f"{name}.csv", list(columns), zip(*columns.values()))
+            loaded.append(load_table(path))
+        for reranker in ("none", "bipartite"):
+            config = PipelineConfig(reranker=reranker)
+            assert run_pipeline(*built, config) == run_pipeline(*loaded, config)
+        assert built == loaded
+        assert [c.inferred_type for c in built[0].columns] == ["numerical", "binary"]
 
     def test_match_candidates_preserved_by_rerankers(self):
         source, target = identity_tables(4)

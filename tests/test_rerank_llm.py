@@ -293,6 +293,11 @@ class TestLlmConfig:
         with pytest.raises(ValueError):
             LlmConfig(endpoint="http://x", temperature=-0.1)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_temperature_finite(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            LlmConfig(endpoint="http://x", temperature=temperature)
+
 
 class TestHttpClient:
     def test_wire_format_and_api_key(self, monkeypatch):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from helpers import write_csv
 
 from colmatch.tables import (
     Column,
     GroundTruth,
     Table,
     TYPE_LABELS,
-    infer_type,
     is_missing,
     load_ground_truth,
     load_table,
@@ -86,51 +86,51 @@ class TestInferType:
     def test_high_distinct_ratio_is_key(self):
         values = [f"v{i}" for i in range(95)] + ["v0"] * 5
         assert len(values) == 100
-        assert infer_type(_col(values)) == "key"
+        assert _col(values).inferred_type == "key"
 
     def test_yes_no_is_binary(self):
-        assert infer_type(_col(["yes", "no", "yes", "no"])) == "binary"
+        assert _col(["yes", "no", "yes", "no"]).inferred_type == "binary"
 
     def test_empty_is_unknown(self):
-        assert infer_type(_col([])) == "unknown"
+        assert _col([]).inferred_type == "unknown"
 
     def test_all_missing_is_unknown(self):
-        assert infer_type(_col([None, "NA", "null", ""])) == "unknown"
+        assert _col([None, "NA", "null", ""]).inferred_type == "unknown"
 
     def test_numbers(self):
         values = ["1", "2.5", "-3", "+4.", ".5", "1e5", "2E-3", "7", "8", "9"] * 2
-        assert infer_type(_col(values)) == "numerical"
+        assert _col(values).inferred_type == "numerical"
 
     def test_dates(self):
         days = [f"2020-01-{d:02d}" for d in range(1, 10)]
         values = (days + ["2020-02-01T10:30:00Z"]) * 2
-        assert infer_type(_col(values)) == "date"
+        assert _col(values).inferred_type == "date"
 
     def test_invalid_calendar_date_not_date(self):
         values = ["2020-13-01", "2020-01-32", "2020-02-30"] * 4
-        assert infer_type(_col(values)) == "categorical"
+        assert _col(values).inferred_type == "categorical"
 
     def test_numbers_with_units_are_categorical(self):
         values = ["2.9 cm", "3.1 cm", "4 cm"] * 4
-        assert infer_type(_col(values)) == "categorical"
+        assert _col(values).inferred_type == "categorical"
 
     def test_key_beats_binary(self):
-        assert infer_type(_col(["yes", "no"])) == "key"
+        assert _col(["yes", "no"]).inferred_type == "key"
 
     def test_binary_beats_numerical(self):
-        assert infer_type(_col(["1", "2"] * 5)) == "binary"
+        assert _col(["1", "2"] * 5).inferred_type == "binary"
 
     def test_numerical_beats_date(self):
         # integers are numbers, not dates
         values = ["1", "2", "3"] * 4
-        assert infer_type(_col(values)) == "numerical"
+        assert _col(values).inferred_type == "numerical"
 
     def test_parse_threshold(self):
         # 19/20 numeric cells is 95%, just enough
         values = (["1", "2", "3"] * 6) + ["1", "x"]
-        assert infer_type(_col(values)) == "numerical"
+        assert _col(values).inferred_type == "numerical"
         # 18/19 is below it
-        assert infer_type(_col(values[1:])) == "categorical"
+        assert _col(values[1:]).inferred_type == "categorical"
 
     @given(
         st.lists(
@@ -139,21 +139,17 @@ class TestInferType:
         )
     )
     def test_total_and_order_free(self, values):
-        label = infer_type(_col(values, name="x"))
+        label = _col(values, name="x").inferred_type
         assert label in TYPE_LABELS
         shuffled = list(values)
         random.Random(7).shuffle(shuffled)
-        assert infer_type(_col(shuffled, name="x")) == label
+        assert _col(shuffled, name="x").inferred_type == label
 
 
 class TestModelInvariants:
     def test_blank_column_name_rejected(self):
         with pytest.raises(ValueError):
             Column("   ", ())
-
-    def test_bad_type_label_rejected(self):
-        with pytest.raises(ValueError):
-            Column("a", (), "text")
 
     def test_table_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -265,5 +261,39 @@ def test_load_table_equals_per_cell_reference(header_rows):
 
 @given(st.lists(st.one_of(st.none(), _na, *_pools.values()), max_size=40))
 def test_infer_type_on_built_columns_equals_per_cell_reference(cells):
-    # a directly built Column keeps NA spellings and blanks as cells
-    assert infer_type(_col(cells)) == oracles.infer_type_longhand(cells)
+    # a directly built Column classifies its cells itself, NA spellings and blanks as missing
+    assert _col(cells).inferred_type == oracles.infer_type_longhand(cells)
+
+
+_cells = st.one_of(
+    st.none(),
+    _na,
+    st.sampled_from(["na", "nA", "NULL", "nOnE", "N/A"]),
+    st.text(alphabet=" \t", min_size=1, max_size=3),
+    st.text(alphabet="aé中ß ", min_size=1, max_size=4),
+    *_pools.values(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_cells, max_size=30))
+def test_built_column_equals_loaded_column(cells):
+    built = _col(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(Path(tmp) / "t.csv", ["c"], [[cell] for cell in cells])
+        (loaded,) = load_table(path).columns
+    assert built == loaded
+    assert built.values == tuple(None if oracles.cell_missing_longhand(c) else c for c in cells)
+    assert built.inferred_type == oracles.infer_type_longhand(cells)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [("a, ", "column name must be non-empty"), ("a,b,a", "duplicate column name: 'a'")],
+)
+def test_header_errors_name_the_file(tmp_path, header, message):
+    path = tmp_path / "t.csv"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        load_table(path)
+    assert str(raised.value) == f"{path}: {message}"
