@@ -21,8 +21,9 @@ from typing import Optional
 from .embedding import EmbeddingProviderConfig, get_provider
 from .linestore import LineStore
 from .metrics import evaluate
-from .pipeline import PipelineConfig, as_integer, column_samples, profile_table, read_config
+from .pipeline import PipelineConfig, as_integer, read_config
 from .rerank_llm import LlmConfig
+from .retrieval import column_samples, profile_table
 from .sampling import SamplerConfig
 from .serialization import SerializationConfig
 from .tables import load_ground_truth, load_table
@@ -158,7 +159,7 @@ def _run_pair(grid: ExperimentGrid, pair_index: int, runs, records: LineStore) -
                     ]
                 provider = get_provider(config.provider)
                 profiles[key] = tuple(
-                    profile_table(t, config, provider, s)
+                    profile_table(t, config.sampling, config.serialization, provider, s)
                     for t, s in zip((source, target), samples[config.sampling])
                 )
             report = evaluate(source, target, gt, config, profiles=profiles[key])

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .linestore import replace_atomically
-from .pipeline import column_samples
 from .rerank_llm import LlmParseError, complete_with_retries
+from .retrieval import column_samples
 # sample_values stays importable from here: bench/tracing.py wraps colmatch.augmentation.sample_values
 from .sampling import SamplerConfig, fnv1a64, sample_values  # noqa: F401
 from .tables import Column, Table

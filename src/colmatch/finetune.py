@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -341,12 +342,31 @@ def save_head(head: ProjectionHead, path) -> None:
 
 
 def load_head(path) -> ProjectionHead:
+    """The head save_head wrote to `path`; a malformed file is a ValueError naming the path."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        dimension = int(header["dimension"])
-        payload = fh.read()
+        line, payload = fh.readline(), fh.read()
+
+    def malformed(problem: str) -> ValueError:
+        return ValueError(f"projection file {path}: {problem}")
+
+    try:
+        header = json.loads(line.decode("ascii"))
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise malformed("header must be a JSON object")
+    for key in ("dimension", "seed"):
+        if type(header.get(key)) is not int:
+            raise malformed(f"{key} must be an integer, got {header.get(key)!r}")
+    dimension, score = header["dimension"], header.get("score")
+    if dimension < 1:
+        raise malformed(f"dimension must be >= 1, got {dimension}")
+    if type(score) not in (int, float) or not math.isfinite(score):
+        raise malformed(f"score must be a finite number, got {score!r}")
     expected = dimension * dimension * 4
     if len(payload) != expected:
-        raise ValueError(f"projection file holds {len(payload)} weight bytes, expected {expected}")
+        raise malformed(f"holds {len(payload)} weight bytes, expected {expected}")
     matrix = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dimension, dimension)
-    return ProjectionHead(matrix, seed=int(header["seed"]), score=float(header["score"]))
+    if not np.isfinite(matrix).all():
+        raise malformed("weights must be finite")
+    return ProjectionHead(matrix, seed=header["seed"], score=float(score))

@@ -11,22 +11,20 @@ import typing
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import retrieval
 from .embedding import EmbeddingProviderConfig, get_provider
 from .finetune import ProjectedProvider, load_head
 from .rerank_llm import DEFAULT_TOP_K, LlmConfig, rerank_llm
-from .retrieval import DEFAULT_K, MatchList, embed_samples, exact_name_override
-from .sampling import HASHED_STRATEGIES, SamplerConfig, hash_units, sample_values
+from .retrieval import DEFAULT_K, MatchList, exact_name_override, profile_table
+# column_samples stays importable from here: bench/workloads.py calls colmatch.pipeline.column_samples
+from .retrieval import column_samples  # noqa: F401
+from .sampling import SamplerConfig
+# sample_values stays importable from here: bench/tracing.py wraps colmatch.pipeline.sample_values
+from .sampling import sample_values  # noqa: F401
 from .serialization import SerializationConfig
 from .tables import Table
 
 RERANKERS = ("none", "bipartite", "llm")
-
-# distinct values hashed per batch: large enough to amortise the kernel's
-# per-byte steps, small enough to keep the batch's arrays out of peak memory
-HASH_BATCH = 2048
 
 # preset -> (reranker, needs a trained projection head)
 PRESETS = {
@@ -167,49 +165,6 @@ class PipelineConfig:
         return dataclasses.replace(config, sampling=sampling)
 
 
-def column_samples(table: Table, sampling: SamplerConfig) -> dict:
-    """sample_values for each column, in column order.
-
-    Strategies that rank by hash get their units from hash_units, over the
-    distinct values of consecutive columns until a batch holds HASH_BATCH.
-    """
-    if sampling.strategy not in HASHED_STRATEGIES:
-        return {col.name: sample_values(col, sampling) for col in table.columns}
-    samples = {}
-    pending, distinct = [], set()
-    for i, col in enumerate(table.columns, start=1):
-        pending.append(col)
-        distinct.update(col.values)
-        if len(distinct) >= HASH_BATCH or i == len(table.columns):
-            distinct.discard(None)
-            units = hash_units(sampling.seed, distinct)
-            for held in pending:
-                samples[held.name] = sample_values(held, sampling, units=units)
-            pending, distinct = [], set()
-    return samples
-
-
-@dataclass(frozen=True, eq=False)
-class TableProfile:
-    """One table's sampled values and its base-provider vectors, before any head.
-
-    They depend only on the sampling, serialization and provider settings,
-    so runs that differ in reranker or projection head can share one profile.
-    """
-
-    samples: dict  # column name -> sampled values
-    vectors: np.ndarray  # (n_columns, D), in column order
-
-
-def profile_table(
-    table: Table, config: PipelineConfig, provider, samples: Optional[dict] = None
-) -> TableProfile:
-    """Sample the table (unless `samples` holds its draw under config.sampling) and embed it."""
-    if samples is None:
-        samples = column_samples(table, config.sampling)
-    return TableProfile(samples, embed_samples(table, samples, config.serialization, provider))
-
-
 def rerank_bipartite(matches: MatchList) -> MatchList:
     """colmatch.rerank_bipartite.rerank_bipartite, imported on first use.
 
@@ -256,7 +211,8 @@ def run_pipeline(
     head = None if config.projection_path is None else load_head(config.projection_path)
     if profiles is None:
         provider = get_provider(config.provider)
-        profiles = tuple(profile_table(t, config, provider) for t in (source, target))
+        settings = (config.sampling, config.serialization, provider)
+        profiles = tuple(profile_table(t, *settings) for t in (source, target))
     vectors = [p.vectors if head is None else head.apply_all(p.vectors) for p in profiles]
     matches = retrieval.retrieve_from_vectors(source, target, *vectors, config.k)
     matches = exact_name_override(matches, source, target)

@@ -1,7 +1,9 @@
-"""Candidate retrieval.
+"""Candidate retrieval: the pipeline's first phase, from a table to ranked candidates.
 
-Builds the full source x target cosine matrix from column embeddings, emits
-the top-k candidates per source column (ties broken by target name), and
+Samples each column's values, serializes them with its name and type, and
+embeds the texts with the base provider: a TableProfile per table.  Then
+builds the full source x target cosine matrix from those vectors, emits the
+top-k candidates per source column (ties broken by target name), and
 applies the exact-name override that pins trivially-matching names to a
 perfect score of 1.0.
 """
@@ -14,16 +16,19 @@ import math
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingProviderConfig, get_provider
-from .sampling import SamplerConfig, sample_values
+from .sampling import HASHED_STRATEGIES, SamplerConfig, hash_units, sample_values
 from .serialization import SerializationConfig, serialize
 from .tables import Table
 
 DEFAULT_K = 20
+
+# distinct values hashed per batch: large enough to amortise the kernel's
+# per-byte steps, small enough to keep the batch's arrays out of peak memory
+HASH_BATCH = 2048
 
 _NAME_JUNK_RE = re.compile(r"[^a-z0-9]")
 
@@ -57,31 +62,61 @@ def normalize_name(name: str) -> str:
     return _NAME_JUNK_RE.sub("", name.lower())
 
 
-def embed_samples(
-    table: Table,
-    samples: dict,
-    serialization: Optional[SerializationConfig] = None,
-    provider=None,
-) -> np.ndarray:
-    """Embed each column serialized with samples[column name], as an (n_columns, D) matrix."""
-    provider = provider if provider is not None else get_provider(EmbeddingProviderConfig())
+def column_samples(table: Table, sampling: SamplerConfig) -> dict:
+    """sample_values for each column, in column order.
+
+    Strategies that rank by hash get their units from hash_units, over the
+    distinct values of consecutive columns until a batch holds HASH_BATCH.
+    """
+    if sampling.strategy not in HASHED_STRATEGIES:
+        return {col.name: sample_values(col, sampling) for col in table.columns}
+    samples = {}
+    pending, distinct = [], set()
+    for i, col in enumerate(table.columns, start=1):
+        pending.append(col)
+        distinct.update(col.values)
+        if len(distinct) >= HASH_BATCH or i == len(table.columns):
+            distinct.discard(None)
+            units = hash_units(sampling.seed, distinct)
+            for held in pending:
+                samples[held.name] = sample_values(held, sampling, units=units)
+            pending, distinct = [], set()
+    return samples
+
+
+@dataclass(frozen=True, eq=False)
+class TableProfile:
+    """One table's sampled values and its base-provider vectors, before any head.
+
+    They depend only on the sampling, serialization and provider settings,
+    so runs that differ in reranker or projection head can share one profile.
+    """
+
+    samples: dict  # column name -> sampled values
+    vectors: np.ndarray  # (n_columns, D), in column order
+
+
+def profile_table(
+    table: Table, sampling: SamplerConfig, serialization: SerializationConfig, provider, samples=None
+) -> TableProfile:
+    """Sample the table (unless `samples` holds its draw under `sampling`) and embed it.
+
+    Each column is serialized with its name, type and samples; `provider`
+    embeds the texts into one row per column.
+    """
+    if samples is None:
+        samples = column_samples(table, sampling)
     texts = [
         serialize(col.name, col.inferred_type, samples[col.name], serialization)
         for col in table.columns
     ]
-    return np.vstack([np.asarray(v, dtype=np.float64) for v in provider.embed(texts)])
+    vectors = np.vstack([np.asarray(v, dtype=np.float64) for v in provider.embed(texts)])
+    return TableProfile(samples, vectors)
 
 
-def embed_table(
-    table: Table,
-    sampling: Optional[SamplerConfig] = None,
-    serialization: Optional[SerializationConfig] = None,
-    provider=None,
-) -> np.ndarray:
-    """Sample every column of the table, then embed_samples()."""
-    sampling = sampling or SamplerConfig()
-    samples = {col.name: sample_values(col, sampling) for col in table.columns}
-    return embed_samples(table, samples, serialization, provider)
+def embed_table(table: Table, sampling: SamplerConfig, serialization: SerializationConfig, provider):
+    """profile_table's vectors alone."""
+    return profile_table(table, sampling, serialization, provider).vectors
 
 
 def name_ranks(names: Sequence[str]) -> np.ndarray:
@@ -155,22 +190,6 @@ def retrieve_from_vectors(
             for rank, (j, score) in enumerate(zip(row, row_scores), start=1)
         ]
     return MatchList(source.name, target.name, per_source, k)
-
-
-def retrieve(
-    source: Table,
-    target: Table,
-    k: int = DEFAULT_K,
-    sampling: Optional[SamplerConfig] = None,
-    serialization: Optional[SerializationConfig] = None,
-    provider=None,
-) -> MatchList:
-    """Embed both tables and rank candidate targets for every source column."""
-    if not source.columns or not target.columns:
-        raise ValueError("both tables must have at least one column")
-    provider = provider if provider is not None else get_provider(EmbeddingProviderConfig())
-    vectors = [embed_table(t, sampling, serialization, provider) for t in (source, target)]
-    return retrieve_from_vectors(source, target, *vectors, k)
 
 
 def exact_name_override(matches: MatchList, source: Table, target: Table) -> MatchList:

@@ -35,15 +35,11 @@ _DATE_RE = re.compile(
 GROUND_TRUTH_HEADER = ("source_column", "target_column")
 
 
-def is_missing(cell: Optional[str]) -> bool:
-    """True for None, whitespace-only cells, and NA spellings (any case)."""
-    return cell is None or cell.strip().lower() in MISSING_MARKERS
-
-
 def value_counts(cells) -> Counter:
     """Count of each non-missing cell; missingness is decided once per distinct cell.
 
-    The test is is_missing's, run by C-level maps over the distinct strings.
+    None, whitespace-only cells and NA spellings (MISSING_MARKERS, any case)
+    are missing; the test runs as C-level maps over the distinct strings.
     """
     counts = Counter(cells)
     counts.pop(None, None)
@@ -71,7 +67,7 @@ def _is_date(cell: str) -> bool:
 
 @dataclass(frozen=True)
 class Column:
-    """A named column; cells that is_missing accepts are stored as None.
+    """A named column; cells that value_counts finds missing are stored as None.
 
     inferred_type, by precedence: unknown (no cells), key (distinct ratio >
     0.90), binary (2 distinct), numerical (>= 95% decimal), date (>= 95%

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import colmatch.pipeline as pipeline
+import colmatch.retrieval as retrieval
 from colmatch.augmentation import (
     AugmentationParseError,
     ClassMember,
@@ -206,16 +206,16 @@ class TestBuildClasses:
         )
         batches = []
 
-        def recording(seed, values, original=pipeline.hash_units):
+        def recording(seed, values, original=retrieval.hash_units):
             batches.append(len(values))
             return original(seed, values)
 
-        monkeypatch.setattr(pipeline, "hash_units", recording)
+        monkeypatch.setattr(retrieval, "hash_units", recording)
         classes = build_classes(Table("t", columns), n_structural=0, seed=3)
         assert [c.anchor.values for c in classes] == [
             tuple(sample_values(col, SamplerConfig(seed=3))) for col in columns
         ]
-        assert len(batches) == 2 and max(batches) > pipeline.HASH_BATCH
+        assert len(batches) == 2 and max(batches) > retrieval.HASH_BATCH
 
     def test_parse_failures_retry_three_times_then_structural_only(self, caplog):
         client = FakeClient([";;", " , a, b", "   ", "unused, v"])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from colmatch import embedding
@@ -81,6 +82,21 @@ def pair(tmp_path):
     return identity_pair(tmp_path, n_cols=4, n_rows=20)
 
 
+# projection files that load_head must refuse: (header, weights, what the error says)
+HEAD = {"dimension": 256, "seed": 0, "score": 1.0}
+EYE = np.eye(256)
+MALFORMED_HEADS = [
+    pytest.param([1, 2], EYE, "header must be a JSON object", id="header-not-object"),
+    pytest.param({"seed": 0, "score": 1.0}, EYE, "dimension must be an integer, got None", id="no-dimension"),
+    pytest.param({**HEAD, "dimension": "256"}, EYE, "dimension must be an integer", id="dimension-string"),
+    pytest.param({**HEAD, "seed": 0.5}, EYE, "seed must be an integer", id="seed-float"),
+    pytest.param({**HEAD, "dimension": 0}, np.eye(0), "dimension must be >= 1, got 0", id="dimension-0"),
+    pytest.param({**HEAD, "score": float("nan")}, EYE, "score must be a finite number", id="score-nan"),
+    pytest.param({**HEAD, "score": "high"}, EYE, "score must be a finite number", id="score-string"),
+    pytest.param(HEAD, np.full((256, 256), np.nan), "weights must be finite", id="nan-weights"),
+]
+
+
 class TestHelp:
     def test_top_level_help_enumerates_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -135,6 +151,18 @@ class TestMatch:
         err = capsys.readouterr().err
         assert "llm endpoint required" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("header,weights,problem", MALFORMED_HEADS)
+    def test_malformed_projection_file_exits_one(self, tmp_path, pair, capsys, header, weights, problem):
+        source, target, _ = pair
+        head = tmp_path / "h.bin"
+        head.write_bytes((json.dumps(header) + "\n").encode("ascii") + weights.astype("<f4").tobytes())
+        out = str(tmp_path / "m")
+        code = main(["match", str(source), str(target), "--projection", str(head), "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: projection file {head}: {problem}")
+        assert err.endswith("\n") and err.count("\n") == 1
 
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         code = main(["match", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")])

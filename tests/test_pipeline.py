@@ -1,5 +1,4 @@
 import json
-import random
 from collections import Counter
 
 import numpy as np
@@ -14,7 +13,7 @@ from colmatch.finetune import ProjectionHead, save_head
 from colmatch.pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
 from colmatch.rerank_llm import LlmConfig, column_line
 from colmatch.sampling import STRATEGIES, SamplerConfig
-from colmatch.serialization import FORMATS, SerializationConfig
+from colmatch.serialization import FORMATS, SerializationConfig, serialize
 from colmatch.tables import Column, Table, load_table
 
 from helpers import ScriptedLlmClient, write_csv
@@ -350,26 +349,33 @@ class TestProfiles:
             llm=LlmConfig(endpoint="http://unused.invalid/v1") if reranker == "llm" else None,
         )
         provider = get_provider(config.provider)
-        profiles = tuple(pipeline.profile_table(t, config, provider) for t in (source, target))
+        profiles = tuple(
+            retrieval.profile_table(t, config.sampling, config.serialization, provider)
+            for t in (source, target)
+        )
         expected = run_pipeline(source, target, config, llm_client=ScriptedLlmClient())
 
         def no_sampling(column, config):
             raise AssertionError("sampled although profiles were given")
 
-        monkeypatch.setattr(pipeline, "sample_values", no_sampling)
+        monkeypatch.setattr(retrieval, "sample_values", no_sampling)
         got = run_pipeline(source, target, config, llm_client=ScriptedLlmClient(), profiles=profiles)
         assert got == expected
 
     def test_profile_holds_base_vectors_in_column_order(self):
         source, _ = overlapping_tables()
         config = PipelineConfig(provider=EmbeddingProviderConfig(dimension=32))
-        profile = pipeline.profile_table(source, config, get_provider(config.provider))
+        provider = get_provider(config.provider)
+        profile = retrieval.profile_table(source, config.sampling, config.serialization, provider)
         assert list(profile.samples) == source.column_names()
         assert profile.vectors.shape == (len(source.columns), 32)
-        np.testing.assert_array_equal(
-            profile.vectors,
-            retrieval.embed_table(source, config.sampling, config.serialization, get_provider(config.provider)),
-        )
+        texts = [
+            serialize(
+                col.name, col.inferred_type, sampling.sample_values(col, config.sampling), config.serialization
+            )
+            for col in source.columns
+        ]
+        np.testing.assert_array_equal(profile.vectors, np.asarray(provider.embed(texts)))
 
     def test_head_of_the_wrong_width_is_rejected(self, tmp_path):
         source, target = overlapping_tables()
@@ -380,42 +386,3 @@ class TestProfiles:
         )
         with pytest.raises(ValueError, match="head dimension 16 does not match provider dimension 32"):
             run_pipeline(source, target, config)
-
-
-def straddling_table():
-    """Six columns whose distinct values fill more than two hash batches.
-
-    Columns share values, and hold None, NA spellings and non-ASCII cells.
-    """
-    rng = random.Random(5)
-    n = pipeline.HASH_BATCH // 3
-    extras = [None, "NA", " n/a ", "", "é中", "\U0001f600", "shared"]
-    columns = []
-    for i in range(6):
-        cells = [
-            rng.choice(extras) if rng.random() < 0.2 else f"v{i * 3 * n // 4 + rng.randrange(n)}"
-            for _ in range(2 * n)
-        ]
-        columns.append(Column(f"c{i}", tuple(cells)))
-    return Table("straddling", tuple(columns))
-
-
-class TestColumnSamples:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_equals_per_column_sampling_across_batch_boundaries(self, monkeypatch, strategy):
-        table = straddling_table()
-        config = SamplerConfig(strategy, sample_size=7, seed=2**64 - 1)
-        batches = []
-
-        def recording(seed, values, original=pipeline.hash_units):
-            batches.append(len(values))
-            return original(seed, values)
-
-        monkeypatch.setattr(pipeline, "hash_units", recording)
-        got = pipeline.column_samples(table, config)
-        assert list(got) == table.column_names()
-        assert got == {col.name: sampling.sample_values(col, config) for col in table.columns}
-        if strategy in sampling.HASHED_STRATEGIES:
-            assert len(batches) >= 2 and max(batches) > pipeline.HASH_BATCH
-        else:
-            assert batches == []

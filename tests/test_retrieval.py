@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
@@ -8,21 +9,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import colmatch.retrieval as retrieval
+import colmatch.sampling as sampling
+from colmatch.embedding import EmbeddingProviderConfig, get_provider
+from colmatch.pipeline import PipelineConfig, run_pipeline
 from colmatch.retrieval import (
     DEFAULT_K,
     MatchCandidate,
     MatchList,
+    embed_table,
     exact_name_override,
     match_list_as_dict,
     name_ranks,
     normalize_name,
     place_below,
-    retrieve,
     retrieve_from_vectors,
     top_k,
     write_match_csv,
     write_match_json,
 )
+from colmatch.sampling import STRATEGIES, SamplerConfig
+from colmatch.serialization import SerializationConfig
 from colmatch.tables import Column, Table
 
 from oracles import top_k_longhand
@@ -36,12 +43,19 @@ def _scores(matches, source):
     return [(c.target, c.score) for c in matches.candidates(source)]
 
 
+def _retrieve(source, target, k=DEFAULT_K):
+    """Candidates ranked from both tables' embed_table vectors under the default settings."""
+    provider = get_provider(EmbeddingProviderConfig())
+    vectors = [embed_table(t, SamplerConfig(), SerializationConfig(), provider) for t in (source, target)]
+    return retrieve_from_vectors(source, target, *vectors, k)
+
+
 class TestRetrieve:
     def test_identical_tables_self_match_first(self):
         cols = ["age", "gender", "tumor_site"]
         src = Table("s", tuple(Column(c, ("v1", "v2")) for c in cols))
         dst = Table("t", tuple(Column(c, ("v1", "v2")) for c in cols))
-        out = retrieve(src, dst, k=3)
+        out = _retrieve(src, dst, k=3)
         for c in cols:
             top = out.candidates(c)[0]
             assert top.target == c
@@ -64,9 +78,9 @@ class TestRetrieve:
     def test_k_truncates(self):
         src = _table("s", ["a"])
         dst = _table("t", [f"t{i}" for i in range(30)])
-        out = retrieve(src, dst, k=1)
+        out = _retrieve(src, dst, k=1)
         assert len(out.candidates("a")) == 1
-        out20 = retrieve(src, dst)
+        out20 = _retrieve(src, dst)
         assert len(out20.candidates("a")) == DEFAULT_K
 
     def test_score_ties_break_by_target_name(self):
@@ -79,14 +93,53 @@ class TestRetrieve:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            retrieve(_table("s", ["a"]), Table("t", ()), k=1)
+            run_pipeline(_table("s", ["a"]), Table("t", ()), PipelineConfig(k=1))
 
     def test_deterministic(self):
         src = _table("s", ["alpha", "beta"])
         dst = _table("t", ["gamma", "delta", "alpha"])
-        a = retrieve(src, dst, k=2)
-        b = retrieve(src, dst, k=2)
+        a = _retrieve(src, dst, k=2)
+        b = _retrieve(src, dst, k=2)
         assert match_list_as_dict(a) == match_list_as_dict(b)
+
+
+def straddling_table():
+    """Six columns whose distinct values fill more than two hash batches.
+
+    Columns share values, and hold None, NA spellings and non-ASCII cells.
+    """
+    rng = random.Random(5)
+    n = retrieval.HASH_BATCH // 3
+    extras = [None, "NA", " n/a ", "", "é中", "\U0001f600", "shared"]
+    columns = []
+    for i in range(6):
+        cells = [
+            rng.choice(extras) if rng.random() < 0.2 else f"v{i * 3 * n // 4 + rng.randrange(n)}"
+            for _ in range(2 * n)
+        ]
+        columns.append(Column(f"c{i}", tuple(cells)))
+    return Table("straddling", tuple(columns))
+
+
+class TestColumnSamples:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_equals_per_column_sampling_across_batch_boundaries(self, monkeypatch, strategy):
+        table = straddling_table()
+        config = SamplerConfig(strategy, sample_size=7, seed=2**64 - 1)
+        batches = []
+
+        def recording(seed, values, original=retrieval.hash_units):
+            batches.append(len(values))
+            return original(seed, values)
+
+        monkeypatch.setattr(retrieval, "hash_units", recording)
+        got = retrieval.column_samples(table, config)
+        assert list(got) == table.column_names()
+        assert got == {col.name: sampling.sample_values(col, config) for col in table.columns}
+        if strategy in sampling.HASHED_STRATEGIES:
+            assert len(batches) >= 2 and max(batches) > retrieval.HASH_BATCH
+        else:
+            assert batches == []
 
 
 class TestNormalizeName:
@@ -119,7 +172,7 @@ class TestExactNameOverride:
     def test_unrelated_names_unchanged(self):
         src = _table("s", ["age"])
         dst = _table("t", ["gender", "site"])
-        out = retrieve(src, dst, k=2)
+        out = _retrieve(src, dst, k=2)
         fixed = exact_name_override(out, src, dst)
         assert _scores(fixed, "age") == _scores(out, "age")
 
@@ -140,7 +193,7 @@ class TestExactNameOverride:
     def test_multiple_pins_sorted_by_target_name(self):
         src = _table("s", ["age"])
         dst = _table("t", ["a_g_e", "AGE", "other"])
-        out = retrieve(src, dst, k=3)
+        out = _retrieve(src, dst, k=3)
         fixed = exact_name_override(out, src, dst)
         cands = fixed.candidates("age")
         assert [c.target for c in cands[:2]] == ["AGE", "a_g_e"]
@@ -168,7 +221,7 @@ class TestEmitters:
     def _matches(self):
         src = _table("s", ["a", "b"])
         dst = _table("t", ["x", "y"])
-        return retrieve(src, dst, k=2)
+        return _retrieve(src, dst, k=2)
 
     def test_json_shape(self, tmp_path):
         out = self._matches()

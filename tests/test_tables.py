@@ -14,7 +14,6 @@ from colmatch.tables import (
     GroundTruth,
     Table,
     TYPE_LABELS,
-    is_missing,
     load_ground_truth,
     load_table,
 )
@@ -155,13 +154,9 @@ class TestModelInvariants:
         with pytest.raises(ValueError):
             Table("t", (Column("a", ()), Column("a", ())))
 
-    def test_is_missing(self):
-        assert is_missing(None)
-        assert is_missing("")
-        assert is_missing("  ")
-        assert is_missing("nA")
-        assert not is_missing("0")
-        assert not is_missing("nan ok")
+    def test_column_stores_missing_cells_as_none(self):
+        column = Column("a", (None, "", "  ", "nA", "0", "nan ok"))
+        assert column.values == (None, None, None, None, "0", "nan ok")
 
 
 class TestGroundTruth:
