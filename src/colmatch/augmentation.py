@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .linestore import replace_atomically
-from .rerank_llm import LlmParseError, complete_with_retries
+from .rerank_llm import DEFAULT_MAX_CONCURRENT, LlmParseError, complete_with_retries
 from .retrieval import column_samples
 # sample_values stays importable from here: bench/tracing.py wraps colmatch.augmentation.sample_values
 from .sampling import SamplerConfig, fnv1a64, sample_values  # noqa: F401
@@ -211,7 +211,7 @@ def build_classes(
     seed: int = 0,
     client=None,
     sampling: Optional[SamplerConfig] = None,
-    max_concurrent: int = 4,
+    max_concurrent: int = DEFAULT_MAX_CONCURRENT,
 ) -> list:
     """One TrainingClass per target column, ids 0..P-1 in column order.
 

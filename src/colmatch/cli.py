@@ -20,7 +20,7 @@ from .embedding import ProviderError, get_provider
 from .finetune import TrainConfig, train, save_head
 from .metrics import evaluate, write_report
 from .pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
-from .rerank_llm import HttpLlmClient, RecordingLlmClient, ReplayLlmClient
+from .rerank_llm import DEFAULT_MAX_CONCURRENT, HttpLlmClient, RecordingLlmClient, ReplayLlmClient
 from .retrieval import write_match_csv, write_match_json
 from .sampling import STRATEGIES
 from .serialization import FORMATS
@@ -226,7 +226,8 @@ def cmd_augment(args) -> int:
     config = resolve_config(args)
     target = load_table(args.target)
     client = None if args.no_llm else _llm_client(args, config.llm)
-    classes = build_classes(target, seed=config.seed, client=client)
+    max_concurrent = DEFAULT_MAX_CONCURRENT if config.llm is None else config.llm.max_concurrent
+    classes = build_classes(target, seed=config.seed, client=client, max_concurrent=max_concurrent)
     write_classes(classes, args.out)
     print(f"wrote {len(classes)} classes to {args.out}")
     return 0

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 
 from .linestore import LineStore
 from .sampling import fnv1a64, fnv1a64_many
@@ -192,6 +191,8 @@ class RemoteProvider:
         return out
 
     def _request(self, batch: list) -> list:
+        import requests  # deferred: loading it doubles the modules a run without HTTP imports
+
         delay = RETRY_BACKOFF_SECONDS
         last_error = None
         for attempt in range(RETRY_ATTEMPTS):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .retrieval import MatchList
@@ -26,13 +26,7 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "mrr": self.mrr,
-            "recall_at_gt": self.recall_at_gt,
-            "first_correct_rank": self.first_correct_rank,
-            "runtime_seconds": self.runtime_seconds,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def as_text(self) -> str:
         lines = [
@@ -65,7 +59,11 @@ def first_correct_ranks(matches: MatchList, gt: GroundTruth) -> dict:
 
 
 def mrr(matches: MatchList, gt: GroundTruth) -> float:
-    ranks = first_correct_ranks(matches, gt)
+    return _mean_reciprocal_rank(first_correct_ranks(matches, gt))
+
+
+def _mean_reciprocal_rank(ranks: dict) -> float:
+    """MRR from first_correct_ranks' result."""
     if not ranks:
         return 0.0
     return sum(1.0 / r for r in ranks.values() if r is not None) / len(ranks)
@@ -98,10 +96,11 @@ def evaluate(
     started = time.perf_counter()
     matches = run_pipeline(source, target, config, llm_client=llm_client, profiles=profiles)
     elapsed = time.perf_counter() - started
+    ranks = first_correct_ranks(matches, gt)
     return EvalReport(
-        mrr=mrr(matches, gt),
+        mrr=_mean_reciprocal_rank(ranks),
         recall_at_gt=recall_at_gt(matches, gt),
-        first_correct_rank=first_correct_ranks(matches, gt),
+        first_correct_rank=ranks,
         runtime_seconds=elapsed,
         config=config.as_dict(),
     )

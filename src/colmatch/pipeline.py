@@ -34,6 +34,9 @@ PRESETS = {
     "ft-llm": ("llm", True),
 }
 
+# settings as_dict leaves out: they change how a run is carried out, never its matches
+UNECHOED = ("provider.batch_size", "provider.cache_path", "llm.max_concurrent")
+
 
 def as_integer(value, key: str) -> int:
     """int(value) of an int, integral float or digit string; else a ValueError naming `key`."""
@@ -122,34 +125,13 @@ class PipelineConfig:
             raise ValueError("llm endpoint required")
 
     def as_dict(self) -> dict:
-        return {
-            "sampling": {
-                "strategy": self.sampling.strategy,
-                "sample_size": self.sampling.sample_size,
-                "seed": self.sampling.seed,
-            },
-            "serialization": {
-                "format": self.serialization.format,
-                "repeat_count": self.serialization.repeat_count,
-            },
-            "provider": {
-                "kind": self.provider.kind,
-                "dimension": self.provider.dimension,
-                "endpoint": self.provider.endpoint,
-            },
-            "k": self.k,
-            "reranker": self.reranker,
-            "projection_path": self.projection_path,
-            "llm": None
-            if self.llm is None
-            else {
-                "endpoint": self.llm.endpoint,
-                "model": self.llm.model,
-                "temperature": self.llm.temperature,
-            },
-            "llm_top_k": self.llm_top_k,
-            "seed": self.seed,
-        }
+        """Every setting but UNECHOED's, nested as the config classes nest them."""
+        layout = dataclasses.asdict(self)
+        for path in UNECHOED:
+            section, key = path.split(".")
+            if layout[section] is not None:
+                del layout[section][key]
+        return layout
 
     @classmethod
     def from_dict(cls, spec) -> PipelineConfig:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .retrieval import MatchCandidate, MatchList, place_below
+from .retrieval import MatchList, place_below
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,10 @@ def rerank_bipartite(matches: MatchList) -> MatchList:
             W[i, t_index[cand.target]] = cand.score
 
     assignment = solve_assignment(W)
-    head = {sources[r]: targets[c] for r, c, _ in assignment.edges}
+    lead = {s: [] for s in sources}
+    for r, c, w in assignment.edges:
+        lead[sources[r]].append((targets[c], w))
     w_low = min((w for _, _, w in assignment.edges), default=math.inf)
-    rest = {s: [c for c in matches.per_source[s] if c.target != head.get(s)] for s in sources}
+    rest = {s: [c for c in matches.per_source[s] if (c.target, c.score) not in lead[s]] for s in sources}
     placed = iter(place_below([c.score for s in sources for c in rest[s]], w_low).tolist())
-
-    per_source = {}
-    for s in sources:
-        entries = [(c.target, c.score) for c in matches.per_source[s] if c.target == head.get(s)]
-        entries += [(c.target, next(placed)) for c in rest[s]]
-        per_source[s] = [
-            MatchCandidate(s, target, score, rank)
-            for rank, (target, score) in enumerate(entries, start=1)
-        ]
-    return MatchList(matches.source_table, matches.target_table, per_source, matches.k)
+    return matches.reranked((s, lead[s] + [(c.target, next(placed)) for c in rest[s]]) for s in sources)

@@ -21,10 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import requests
-
 from .linestore import LineStore
-from .retrieval import MatchCandidate, MatchList, place_below
+from .retrieval import MatchList, place_below
 
 log = logging.getLogger(__name__)
 
@@ -137,6 +135,8 @@ class HttpLlmClient:
         self.config = config
 
     def complete(self, prompt: str) -> str:
+        import requests  # deferred: loading it doubles the modules a run without HTTP imports
+
         headers = {}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
@@ -240,12 +240,11 @@ def _rerank_column(candidates, source_name, source_samples, target_samples, clie
     )
     log.debug("rerank prompt for %r: ~%d tokens", source_name, len(prompt.split()))
     parsed = complete_with_retries(client, prompt, parse_response, source_name)
-    if parsed is None:
-        return list(candidates)  # full fallback to embedding scores
-    return _merge_scores(candidates, sent, parsed, source_name)
+    return _merge_scores(candidates, sent, parsed or ())
 
 
-def _merge_scores(candidates, sent, parsed, source_name):
+def _merge_scores(candidates, sent, parsed):
+    """(target, score) entries: the model's scores first, then the leftovers placed below them."""
     by_name = {c.target: c for c in sent}
     matched = {}
     scored = []  # (target, llm score) in parse order
@@ -255,17 +254,13 @@ def _merge_scores(candidates, sent, parsed, source_name):
             continue  # unknown names ignored; first occurrence wins on repeats
         matched[cand.target] = score
         scored.append((cand.target, score))
-    if not scored:
-        return list(candidates)
+    if not scored:  # every attempt failed, or no name matched: embedding scores stand
+        return [(c.target, c.score) for c in candidates]
     # leftovers: candidates the model omitted plus the not-sent tail, in
     # retrieval order below the model's lowest score (parse order is descending)
     leftovers = [c for c in candidates if c.target not in matched]
     placed = place_below([c.score for c in leftovers], scored[-1][1]).tolist()
-    merged = scored + [(c.target, score) for c, score in zip(leftovers, placed)]
-    return [
-        MatchCandidate(source_name, target, score, rank)
-        for rank, (target, score) in enumerate(merged, start=1)
-    ]
+    return scored + [(c.target, score) for c, score in zip(leftovers, placed)]
 
 
 def rerank_llm(
@@ -307,6 +302,4 @@ def rerank_llm(
         )
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(work, sources))
-    per_source = dict(zip(sources, results))
-    return MatchList(matches.source_table, matches.target_table, per_source, matches.k)
+        return matches.reranked(zip(sources, pool.map(work, sources)))

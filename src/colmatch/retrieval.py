@@ -56,6 +56,19 @@ class MatchList:
     def flat(self) -> list:
         return [cand for ranked in self.per_source.values() for cand in ranked]
 
+    def reranked(self, lists) -> MatchList:
+        """These tables and k, with a list built by `ranked` for each (source, entries) pair in `lists`."""
+        per_source = {source: ranked(source, entries) for source, entries in lists}
+        return MatchList(self.source_table, self.target_table, per_source, self.k)
+
+
+def ranked(source: str, entries) -> list:
+    """`source`'s candidates from (target, score) entries, ranked 1..n in entry order."""
+    return [
+        MatchCandidate(source, target, score, rank)
+        for rank, (target, score) in enumerate(entries, start=1)
+    ]
+
 
 def normalize_name(name: str) -> str:
     """Lowercase, then drop every character outside [a-z0-9]."""
@@ -183,12 +196,10 @@ def retrieve_from_vectors(
     target_names = target.column_names()
     best = top_k(sim, name_ranks(target_names), k)
     scores = np.take_along_axis(sim, best, axis=1).tolist()
-    per_source = {}
-    for col, row, row_scores in zip(source.columns, best.tolist(), scores):
-        per_source[col.name] = [
-            MatchCandidate(col.name, target_names[j], score, rank)
-            for rank, (j, score) in enumerate(zip(row, row_scores), start=1)
-        ]
+    per_source = {
+        col.name: ranked(col.name, zip(map(target_names.__getitem__, row), row_scores))
+        for col, row, row_scores in zip(source.columns, best.tolist(), scores)
+    }
     return MatchList(source.name, target.name, per_source, k)
 
 
@@ -205,23 +216,13 @@ def exact_name_override(matches: MatchList, source: Table, target: Table) -> Mat
 
     per_source = {}
     for scol in source.columns:
-        ranked = matches.per_source.get(scol.name, [])
-        pinned_names = sorted(norm_targets.get(normalize_name(scol.name), []))
-        if not pinned_names:
-            per_source[scol.name] = list(ranked)
-            continue
-        pinned_set = set(pinned_names)
-        rebuilt = [
-            MatchCandidate(scol.name, tname, 1.0, rank)
-            for rank, tname in enumerate(pinned_names, start=1)
-        ]
-        for cand in ranked:
-            if cand.target in pinned_set:
-                continue
-            rebuilt.append(
-                MatchCandidate(cand.source, cand.target, cand.score, len(rebuilt) + 1)
-            )
-        per_source[scol.name] = rebuilt
+        candidates = matches.per_source.get(scol.name, [])
+        pinned = sorted(norm_targets.get(normalize_name(scol.name), []))
+        if pinned:
+            entries = [(name, 1.0) for name in pinned]
+            entries += [(c.target, c.score) for c in candidates if c.target not in pinned]
+            candidates = ranked(scol.name, entries)
+        per_source[scol.name] = candidates
     return MatchList(matches.source_table, matches.target_table, per_source, matches.k)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from datetime import date
 from itertools import compress
 from pathlib import Path
-from typing import Optional
 
 MISSING_MARKERS = frozenset({"", "na", "n/a", "null", "none"})
 
@@ -120,15 +119,20 @@ class GroundTruth:
     """Curated correspondences; a source may map to several targets."""
 
     pairs: frozenset
+    _targets: dict = field(init=False, compare=False, repr=False)  # source -> its targets
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", frozenset(self.pairs))
+        targets = {}
+        for src, dst in self.pairs:
+            targets.setdefault(src, set()).add(dst)
+        object.__setattr__(self, "_targets", targets)
 
     def sources(self) -> set:
-        return {src for src, _ in self.pairs}
+        return set(self._targets)
 
     def targets_for(self, source: str) -> set:
-        return {dst for src, dst in self.pairs if src == source}
+        return set(self._targets.get(source, ()))
 
 
 def _classify(counts: Counter) -> str:
@@ -147,17 +151,15 @@ def _classify(counts: Counter) -> str:
     return "categorical"
 
 
-def load_table(path, name: Optional[str] = None) -> Table:
+def load_table(path) -> Table:
     """Read a UTF-8 CSV with a header row into a Table.
 
     Short rows are padded with missing cells; rows wider than the header
     are rejected.  Missing cells, types and the header's names are Column's
     and Table's to check; their errors are prefixed with the path.  The
-    table name defaults to the file stem.
+    table is named after the file stem.
     """
     p = Path(path)
-    if name is None:
-        name = p.stem
     if not p.is_file():
         raise FileNotFoundError(f"table file not found: {p}")
     try:
@@ -177,7 +179,7 @@ def load_table(path, name: Optional[str] = None) -> Table:
 
     columns = zip(*body) if body else [()] * width
     try:
-        return Table(name, [Column(h, cells) for h, cells in zip(header, columns)])
+        return Table(p.stem, [Column(h, cells) for h, cells in zip(header, columns)])
     except ValueError as exc:
         raise ValueError(f"{p}: {exc}") from None
 

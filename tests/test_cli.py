@@ -3,6 +3,8 @@ import json
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +571,27 @@ class TestAugmentFinetuneRoundTrip:
         assert len(bodies) == 4
         assert {(b["model"], b["temperature"]) for b in bodies} == {("m-aug", 0.7)}
 
+    def test_augment_sends_at_most_max_concurrent_requests_at_once(self, tmp_path, pair):
+        _, target, _ = pair
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def handler(path, body):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.05)  # long enough for every free worker to send its request
+            with lock:
+                in_flight[0] -= 1
+            return 200, {"choices": [{"message": {"content": "alt, a, b"}}]}
+
+        with JsonStubServer(handler) as server:
+            config = write_config(tmp_path / "cfg.json", {"llm": {"endpoint": server.url, "max_concurrent": 1}})
+            code = main(["augment", str(target), "--out", str(tmp_path / "c.jsonl"), "--config", config])
+            sent = len(server.requests)
+        assert code == 0
+        assert (sent, peak[0]) == (4, 1)
+
     def test_augment_with_replay_adds_semantic_members(self, tmp_path, pair):
         _, target, _ = pair
         transcript = tmp_path / "aug.jsonl"
@@ -760,3 +783,34 @@ class TestScipyImport:
         )
         assert (after_import, none_code, after_none, bipartite_code) == (0, 0, 0, 0)
         assert after_bipartite > 0
+
+
+class TestRequestsImport:
+    def test_requests_loads_only_for_a_remote_run(self, tmp_path, pair):
+        # a fresh interpreter, so no other test's import counts
+        source, target, _ = pair
+
+        def handler(path, body):
+            return 200, {"dimension": 8, "vectors": [hash_embed(t, 8).tolist() for t in body["texts"]]}
+
+        with JsonStubServer(handler) as server:
+            config = write_config(tmp_path / "cfg.json", {"provider": {"kind": "remote", "endpoint": server.url}})
+            script = (
+                "import json, sys\n"
+                "def requests_modules():\n"
+                "    return len([m for m in sys.modules if m == 'requests' or m.startswith('requests.')])\n"
+                "from colmatch.cli import main\n"
+                "seen = []\n"
+                f"for extra in (['--reranker', 'none'], ['--config', {config!r}]):\n"
+                f"    out = {str(tmp_path)!r} + '/' + extra[0].strip('-')\n"
+                f"    code = main(['match', {str(source)!r}, {str(target)!r}, '--out', out, *extra])\n"
+                "    seen += [code, requests_modules()]\n"
+                "print(json.dumps(seen))\n"
+            )
+            env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+            result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+            sent = len(server.requests)
+        assert result.returncode == 0, result.stderr
+        hash_code, after_hash, remote_code, after_remote = json.loads(result.stdout.splitlines()[-1])
+        assert (hash_code, after_hash, remote_code) == (0, 0, 0)
+        assert after_remote > 0 and sent > 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colmatch.metrics as metrics
 from colmatch.metrics import (
     EvalReport,
     first_correct_ranks,
@@ -13,7 +14,7 @@ from colmatch.metrics import (
     write_report,
 )
 from colmatch.retrieval import MatchCandidate, MatchList
-from colmatch.tables import GroundTruth
+from colmatch.tables import Column, GroundTruth, Table
 
 from oracles import mrr_brute_force, recall_at_gt_brute_force
 
@@ -200,6 +201,7 @@ class TestReport:
         path = tmp_path / "report.json"
         write_report(report, path)
         loaded = json.loads(path.read_text(encoding="utf-8"))
+        assert list(loaded) == ["mrr", "recall_at_gt", "first_correct_rank", "runtime_seconds", "config"]
         assert loaded["mrr"] == 0.75
         assert loaded["first_correct_rank"] == {"a": 1, "b": None}
         assert loaded["config"]["reranker"] == "bipartite"
@@ -209,3 +211,22 @@ class TestReport:
         text = report.as_text()
         assert "mrr" in text and "recall_at_gt" in text
         assert "1.0000" in text
+
+
+class TestEvaluate:
+    def test_ranks_are_found_once_and_give_the_mrr(self, monkeypatch):
+        values = [tuple(f"v{i}_{r}" for r in range(12)) for i in range(4)]
+        source = Table("s", [Column(f"src {i}", v) for i, v in enumerate(values)])
+        target = Table("t", [Column(f"tgt_{i}", v) for i, v in enumerate(values)])
+        gt = gt_of(("src 0", "tgt_0"), ("src 1", "tgt_2"), ("src 2", "tgt_3"), ("src 3", "tgt_1"))
+        calls = []
+
+        def counted(matches, gt):
+            calls.append(matches)
+            return first_correct_ranks(matches, gt)
+
+        monkeypatch.setattr(metrics, "first_correct_ranks", counted)
+        report = metrics.evaluate(source, target, gt)
+        (matches,) = calls
+        assert report.first_correct_rank == first_correct_ranks(matches, gt)
+        assert report.mrr == mrr(matches, gt) < 1.0

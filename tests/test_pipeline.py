@@ -78,6 +78,36 @@ class TestConfig:
         assert echoed["llm"]["endpoint"] == "http://example/v1"
         assert echoed["llm_top_k"] == 7
 
+    def test_as_dict_layout(self):
+        config = PipelineConfig(
+            sampling=SamplerConfig(strategy="frequency", sample_size=4, seed=2),
+            serialization=SerializationConfig(format="repeat", repeat_count=3),
+            provider=EmbeddingProviderConfig(
+                kind="remote", dimension=64, endpoint="http://e/embed", batch_size=8, cache_path="v.cache"
+            ),
+            k=5,
+            reranker="llm",
+            projection_path="head.bin",
+            llm=LlmConfig(endpoint="http://example/v1", model="m", temperature=0.5, max_concurrent=2),
+            llm_top_k=7,
+            seed=9,
+        )
+        # batch_size, cache_path and max_concurrent are not echoed
+        assert json.dumps(config.as_dict()) == (
+            '{"sampling": {"strategy": "frequency", "sample_size": 4, "seed": 2}, '
+            '"serialization": {"format": "repeat", "repeat_count": 3}, '
+            '"provider": {"kind": "remote", "dimension": 64, "endpoint": "http://e/embed"}, '
+            '"k": 5, "reranker": "llm", "projection_path": "head.bin", '
+            '"llm": {"endpoint": "http://example/v1", "model": "m", "temperature": 0.5}, '
+            '"llm_top_k": 7, "seed": 9}'
+        )
+        assert json.dumps(PipelineConfig().as_dict()) == (
+            '{"sampling": {"strategy": "priority", "sample_size": 10, "seed": 0}, '
+            '"serialization": {"format": "default", "repeat_count": 5}, '
+            '"provider": {"kind": "hash", "dimension": null, "endpoint": null}, '
+            '"k": 20, "reranker": "none", "projection_path": null, "llm": null, "llm_top_k": 20, "seed": 0}'
+        )
+
     def test_presets_cover_the_two_by_two(self):
         assert PRESETS == {
             "zs-bp": ("bipartite", False),

@@ -27,7 +27,7 @@ class TestLoadTable:
     def test_two_column_file(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a,b\n1,x\n2,y\n", encoding="utf-8")
-        t = load_table(f, "t")
+        t = load_table(f)
         assert t.name == "t"
         assert t.column_names() == ["a", "b"]
         assert t.column("a").values == ("1", "2")
@@ -36,7 +36,7 @@ class TestLoadTable:
     def test_header_only_file(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a\n", encoding="utf-8")
-        t = load_table(f, "t")
+        t = load_table(f)
         assert t.column("a").values == ()
         assert t.column("a").inferred_type == "unknown"
 
@@ -44,41 +44,41 @@ class TestLoadTable:
         f = tmp_path / "t.csv"
         f.write_text("a,a\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="'a'"):
-            load_table(f, "t")
+            load_table(f)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_table(tmp_path / "absent.csv", "t")
+            load_table(tmp_path / "absent.csv")
 
     def test_non_utf8_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_bytes(b"a,b\n\xff\xfe,1\n")
         with pytest.raises(ValueError, match="UTF-8"):
-            load_table(f, "t")
+            load_table(f)
 
     def test_missing_markers_become_none(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a\n\nNA\nn/a\nNull\nNONE\nkeep\n", encoding="utf-8")
-        t = load_table(f, "t")
+        t = load_table(f)
         assert t.column("a").values == (None, None, None, None, None, "keep")
 
     def test_quoted_cells_roundtrip(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text('a\n" x,y "\n"he said ""hi"""\n', encoding="utf-8")
-        t = load_table(f, "t")
+        t = load_table(f)
         assert t.column("a").values == (" x,y ", 'he said "hi"')
 
     def test_short_rows_padded(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a,b\n1\n", encoding="utf-8")
-        t = load_table(f, "t")
+        t = load_table(f)
         assert t.column("b").values == (None,)
 
     def test_wide_row_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 2"):
-            load_table(f, "t")
+            load_table(f)
 
 
 class TestInferType:
@@ -165,6 +165,10 @@ class TestGroundTruth:
         f.write_text("source_column,target_column\nAge,age_at_index\n", encoding="utf-8")
         gt = load_ground_truth(f)
         assert gt.pairs == {("Age", "age_at_index")}
+        # the source -> targets map it keeps is left out of equality, hash and repr
+        assert gt == GroundTruth({("Age", "age_at_index")})
+        assert hash(gt) == hash(GroundTruth({("Age", "age_at_index")}))
+        assert repr(gt) == "GroundTruth(pairs=frozenset({('Age', 'age_at_index')}))"
 
     def test_duplicates_collapse(self, tmp_path):
         f = tmp_path / "gt.csv"
