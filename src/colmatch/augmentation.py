@@ -13,13 +13,12 @@ import json
 import logging
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .linestore import replace_atomically
-from .rerank_llm import DEFAULT_MAX_CONCURRENT, LlmParseError, complete_with_retries
+from .rerank_llm import DEFAULT_MAX_CONCURRENT, LlmParseError, ask_each
 from .retrieval import column_samples
 # sample_values stays importable from here: bench/tracing.py wraps colmatch.augmentation.sample_values
 from .sampling import SamplerConfig, fnv1a64, sample_values  # noqa: F401
@@ -179,18 +178,6 @@ def parse_augmentation_response(text: str) -> list:
     return out
 
 
-def _semantic_variants(name, sample, client, n_semantic, seed):
-    prompt = build_augmentation_prompt(name, sample)
-    parsed = complete_with_retries(client, prompt, parse_augmentation_response, name)
-    if parsed is None:
-        log.warning("LLM augmentation failed for column %r; keeping structural variants only", name)
-        return []
-    return [
-        _distinct_from_anchor(name, sample, vname, values, seed, idx)
-        for idx, (vname, values) in enumerate(parsed[:n_semantic])
-    ]
-
-
 def _distinct_from_anchor(anchor_name, anchor_values, name, values, seed, idx):
     anchor = (anchor_name, tuple(anchor_values))
     candidate = (name, tuple(values))
@@ -223,23 +210,23 @@ def build_classes(
     if client is None and n_semantic > 0:
         log.warning("no LLM client configured; classes will be structural only")
     anchors = list(column_samples(target, sampling or SamplerConfig(seed=seed)).items())
-
-    def semantic_for(idx):
-        name, sample = anchors[idx]
-        if client is None or n_semantic <= 0:
-            return []
-        return _semantic_variants(name, sample, client, n_semantic, seed)
-
-    with ThreadPoolExecutor(max_workers=max(1, max_concurrent)) as pool:
-        semantic = list(pool.map(semantic_for, range(len(anchors))))
+    prompts = {}
+    if client is not None and n_semantic > 0:
+        prompts = {name: build_augmentation_prompt(name, sample) for name, sample in anchors}
+    answers = dict(zip(prompts, ask_each(client, prompts, parse_augmentation_response, max(1, max_concurrent))))
 
     classes = []
-    for class_id, (col, (name, sample)) in enumerate(zip(target.columns, anchors)):
+    for class_id, (name, sample) in enumerate(anchors):
         members = [ClassMember(name, tuple(sample), "anchor")]
         anchor_col = Column(name, tuple(sample))
         for vname, vvalues in structural_variants(anchor_col, n_structural, seed):
             members.append(ClassMember(vname, tuple(vvalues), "structural"))
-        for vname, vvalues in semantic[class_id]:
+        parsed = answers.get(name, [])
+        if parsed is None:
+            log.warning("LLM augmentation failed for column %r; keeping structural variants only", name)
+            parsed = []
+        for idx, (vname, values) in enumerate(parsed[:n_semantic]):
+            vname, vvalues = _distinct_from_anchor(name, sample, vname, values, seed, idx)
             members.append(ClassMember(vname, tuple(vvalues), "semantic"))
         classes.append(TrainingClass(class_id, tuple(members)))
     return classes

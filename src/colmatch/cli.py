@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .ablation import load_grid, run_grid
-from .augmentation import build_classes, load_classes, write_classes
+from .augmentation import DEFAULT_N_SEMANTIC, build_classes, load_classes, write_classes
 from .embedding import ProviderError, get_provider
 from .finetune import TrainConfig, train, save_head
 from .metrics import evaluate, write_report
@@ -26,49 +26,60 @@ from .sampling import STRATEGIES
 from .serialization import FORMATS
 from .tables import load_ground_truth, load_table
 
-EPILOG = """\
-flags across subcommands:
-  --sampling        value sampling strategy (priority, coordinated, frequency, weighted, random)
-  --sample-size     values sampled per column
-  --seed            master seed for sampling / training / grids
-  --serialization   column text format (default, verbose, repeat, header-only)
-  --repeat-k        name repetitions for the repeat format
-  --reranker        second phase: none, bipartite, or llm
-  --llm-endpoint    chat-completion endpoint for the llm reranker / augment
-  --llm-model       model name sent to the endpoint
-  --llm-top-k       how many candidates per column the llm rescores
-  --projection      trained projection head applied to both tables
-  --preset          zs-bp | ft-bp | zs-llm | ft-llm
-  --config          JSON config file mirroring the pipeline config
-  --replay          transcript file; answers LLM prompts offline
-  --record          write prompt/response transcript while running live
-  --report          evaluation report output path (JSON)
-  --classes         training classes file (JSON lines)
-  --epochs          training epochs for finetune
-  --grid            ablation grid spec (JSON)
-  --out             output path or directory
-  --no-llm          augment without semantic variants
-environment: LLM_API_KEY is sent as a bearer token when set.
-"""
+# every flag once: its EPILOG line, the config paths it sets (in PipelineConfig.as_dict's
+# layout) and its add_argument keywords; a subcommand adds the flags it takes by name
+FLAGS = {
+    "--sampling": (
+        "value sampling strategy (priority, coordinated, frequency, weighted, random)",
+        ("sampling.strategy",),
+        {"choices": STRATEGIES},
+    ),
+    "--sample-size": ("values sampled per column", ("sampling.sample_size",), {"type": int}),
+    "--seed": ("master seed for sampling / training / grids", ("seed", "sampling.seed"), {"type": int}),
+    "--serialization": (
+        "column text format (default, verbose, repeat, header-only)",
+        ("serialization.format",),
+        {"type": lambda v: v.replace("-", "_"), "choices": FORMATS},
+    ),
+    "--repeat-k": ("name repetitions for the repeat format", ("serialization.repeat_count",), {"type": int}),
+    "--reranker": ("second phase: none, bipartite, or llm", ("reranker",), {"choices": RERANKERS}),
+    "--llm-endpoint": ("chat-completion endpoint for the llm reranker / augment", ("llm.endpoint",), {}),
+    "--llm-model": ("model name sent to the endpoint", ("llm.model",), {}),
+    "--llm-top-k": ("how many candidates per column the llm rescores", ("llm_top_k",), {"type": int}),
+    "--projection": ("trained projection head applied to both tables", ("projection_path",), {}),
+    "--preset": ("zs-bp | ft-bp | zs-llm | ft-llm", (), {"choices": sorted(PRESETS)}),
+    "--config": ("JSON config file mirroring the pipeline config", (), {}),
+    "--replay": ("transcript file; answers LLM prompts offline", (), {}),
+    "--record": ("write prompt/response transcript while running live", (), {}),
+    "--report": ("evaluation report output path (JSON)", (), {}),
+    "--classes": ("training classes file (JSON lines)", (), {"required": True}),
+    "--epochs": ("training epochs for finetune", (), {"type": int, "default": TrainConfig.epochs}),
+    "--grid": ("ablation grid spec (JSON)", (), {"required": True}),
+    "--out": ("output path or directory", (), {}),
+    "--no-llm": ("augment without semantic variants", (), {"action": "store_true"}),
+}
+
+EPILOG = (
+    "flags across subcommands:\n"
+    + "".join(f"  {flag:<18}{line}\n" for flag, (line, _, _) in FLAGS.items())
+    + "environment: LLM_API_KEY is sent as a bearer token when set.\n"
+)
+
+PIPELINE_FLAGS = (
+    "--sampling", "--sample-size", "--serialization", "--repeat-k", "--reranker", "--llm-endpoint",
+    "--llm-model", "--llm-top-k", "--projection", "--preset", "--replay", "--record",
+)
 
 
-def _pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sampling", choices=STRATEGIES)
-    parser.add_argument("--sample-size", type=int, dest="sample_size")
-    parser.add_argument(
-        "--serialization",
-        type=lambda v: v.replace("-", "_"),
-        choices=FORMATS,
-    )
-    parser.add_argument("--repeat-k", type=int, dest="repeat_k")
-    parser.add_argument("--reranker", choices=RERANKERS)
-    parser.add_argument("--llm-endpoint", dest="llm_endpoint")
-    parser.add_argument("--llm-model", dest="llm_model")
-    parser.add_argument("--llm-top-k", type=int, dest="llm_top_k")
-    parser.add_argument("--projection")
-    parser.add_argument("--preset", choices=sorted(PRESETS))
-    parser.add_argument("--replay")
-    parser.add_argument("--record")
+def _dest(flag: str) -> str:
+    """The attribute argparse stores `flag` under."""
+    return flag[2:].replace("-", "_")
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags, **at_call) -> None:
+    """Add `flags` from FLAGS in this order; at_call maps a flag's dest to keywords for this parser alone."""
+    for flag in flags:
+        parser.add_argument(flag, **{**FLAGS[flag][2], **at_call.get(_dest(flag), {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,67 +91,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--config")
-
     p_match = sub.add_parser("match", help="write ranked column matches for a table pair")
-    common(p_match)
-    _pipeline_flags(p_match)
+    _add_flags(p_match, ("--seed", "--config", *PIPELINE_FLAGS, "--out"), out={"default": "matches"})
     p_match.add_argument("source")
     p_match.add_argument("target")
-    p_match.add_argument("--out", default="matches")
     p_match.set_defaults(func=cmd_match)
 
     p_eval = sub.add_parser("evaluate", help="score the pipeline against a ground truth")
-    common(p_eval)
-    _pipeline_flags(p_eval)
+    _add_flags(p_eval, ("--seed", "--config", *PIPELINE_FLAGS, "--report"))
     p_eval.add_argument("source")
     p_eval.add_argument("target")
     p_eval.add_argument("ground_truth")
-    p_eval.add_argument("--report")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_aug = sub.add_parser("augment", help="build synthetic training classes from a target table")
-    common(p_aug)
+    _add_flags(
+        p_aug,
+        ("--seed", "--config", "--out", "--no-llm", "--llm-endpoint", "--llm-model", "--replay", "--record"),
+        out={"default": "classes.jsonl"},
+    )
     p_aug.add_argument("target")
-    p_aug.add_argument("--out", default="classes.jsonl")
-    p_aug.add_argument("--no-llm", action="store_true", dest="no_llm")
-    p_aug.add_argument("--llm-endpoint", dest="llm_endpoint")
-    p_aug.add_argument("--llm-model", dest="llm_model")
-    p_aug.add_argument("--replay")
-    p_aug.add_argument("--record")
     p_aug.set_defaults(func=cmd_augment)
 
     p_ft = sub.add_parser("finetune", help="train a projection head from a classes file")
-    common(p_ft)
-    p_ft.add_argument("--classes", required=True)
-    p_ft.add_argument("--out", required=True)
-    p_ft.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    _add_flags(p_ft, ("--seed", "--config", "--classes", "--out", "--epochs"), out={"required": True})
     p_ft.set_defaults(func=cmd_finetune)
 
     p_abl = sub.add_parser("ablate", help="run a grid of pipeline variants and aggregate")
-    p_abl.add_argument("--seed", type=int)  # every other setting comes from the grid file
-    p_abl.add_argument("--grid", required=True)
-    p_abl.add_argument("--out", required=True)
+    # every other setting comes from the grid file
+    _add_flags(p_abl, ("--seed", "--grid", "--out"), out={"required": True})
     p_abl.set_defaults(func=cmd_ablate)
 
     return parser
-
-
-# flag -> the dotted paths it sets in the config layout (PipelineConfig.as_dict)
-FLAG_PATHS = {
-    "seed": ("seed", "sampling.seed"),
-    "sampling": ("sampling.strategy",),
-    "sample_size": ("sampling.sample_size",),
-    "serialization": ("serialization.format",),
-    "repeat_k": ("serialization.repeat_count",),
-    "reranker": ("reranker",),
-    "llm_endpoint": ("llm.endpoint",),
-    "llm_model": ("llm.model",),
-    "llm_top_k": ("llm_top_k",),
-    "projection": ("projection_path",),
-}
 
 
 def _lay_over(spec: dict, path: str, value) -> None:
@@ -168,10 +150,11 @@ def resolve_config(args) -> PipelineConfig:
     preset = getattr(args, "preset", None)
     if preset:
         _lay_over(spec, "reranker", PRESETS[preset][0])
-    for name, paths in FLAG_PATHS.items():
-        if getattr(args, name, None) is not None:
+    for flag, (_, paths, _) in FLAGS.items():
+        value = getattr(args, _dest(flag), None)
+        if value is not None:
             for path in paths:
-                _lay_over(spec, path, getattr(args, name))
+                _lay_over(spec, path, value)
     if preset and PRESETS[preset][1] and spec.get("projection_path") is None:
         raise ValueError(f"preset {preset} requires --projection")
 
@@ -227,7 +210,10 @@ def cmd_augment(args) -> int:
     target = load_table(args.target)
     client = None if args.no_llm else _llm_client(args, config.llm)
     max_concurrent = DEFAULT_MAX_CONCURRENT if config.llm is None else config.llm.max_concurrent
-    classes = build_classes(target, seed=config.seed, client=client, max_concurrent=max_concurrent)
+    n_semantic = 0 if args.no_llm else DEFAULT_N_SEMANTIC
+    classes = build_classes(
+        target, n_semantic=n_semantic, seed=config.seed, client=client, max_concurrent=max_concurrent
+    )
     write_classes(classes, args.out)
     print(f"wrote {len(classes)} classes to {args.out}")
     return 0

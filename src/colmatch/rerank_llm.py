@@ -230,17 +230,19 @@ def complete_with_retries(client, prompt: str, parse, subject: str):
     return None
 
 
-def _rerank_column(candidates, source_name, source_samples, target_samples, client, n_send):
-    if not candidates:
+def ask_each(client, prompts: dict, parse, max_concurrent: int) -> list:
+    """complete_with_retries for each {subject: prompt} item, in prompt order.
+
+    At most `max_concurrent` requests are in flight at once.
+    """
+    if not prompts:
         return []
-    sent = candidates[:n_send]
-    prompt = build_prompt(
-        (source_name, source_samples.get(source_name, [])),
-        [(c.target, target_samples.get(c.target, [])) for c in sent],
-    )
-    log.debug("rerank prompt for %r: ~%d tokens", source_name, len(prompt.split()))
-    parsed = complete_with_retries(client, prompt, parse_response, source_name)
-    return _merge_scores(candidates, sent, parsed or ())
+
+    def ask(subject):
+        return complete_with_retries(client, prompts[subject], parse, subject)
+
+    with ThreadPoolExecutor(max_workers=max_concurrent) as pool:
+        return list(pool.map(ask, prompts))
 
 
 def _merge_scores(candidates, sent, parsed):
@@ -287,19 +289,19 @@ def rerank_llm(
         if config is None:
             raise ValueError("llm endpoint required")
         client = HttpLlmClient(config)
-    max_workers = config.max_concurrent if config is not None else DEFAULT_MAX_CONCURRENT
+    max_concurrent = config.max_concurrent if config is not None else DEFAULT_MAX_CONCURRENT
 
-    sources = list(matches.per_source)
-
-    def work(source_name):
-        return _rerank_column(
-            matches.per_source[source_name],
-            source_name,
-            source_samples,
-            target_samples,
-            client,
-            n_send,
-        )
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return matches.reranked(zip(sources, pool.map(work, sources)))
+    prompts = {}
+    for source_name, candidates in matches.per_source.items():
+        if candidates:
+            prompts[source_name] = build_prompt(
+                (source_name, source_samples.get(source_name, [])),
+                [(c.target, target_samples.get(c.target, [])) for c in candidates[:n_send]],
+            )
+            log.debug("rerank prompt for %r: ~%d tokens", source_name, len(prompts[source_name].split()))
+    # read here, not bound at import: bench/tracing.py replaces parse_response to count parse failures
+    answers = dict(zip(prompts, ask_each(client, prompts, parse_response, max_concurrent)))
+    return matches.reranked(
+        (source_name, _merge_scores(candidates, candidates[:n_send], answers.get(source_name) or ()))
+        for source_name, candidates in matches.per_source.items()
+    )

@@ -160,6 +160,19 @@ def top_k(scores, name_rank, k: int) -> np.ndarray:
     return cols[order][starts[:, None] + np.arange(k)]
 
 
+def rank_rows(scores, source_names: Sequence[str], target_names: Sequence[str], k: int) -> dict:
+    """Each source's ranked list of its min(k, m) best targets in its row of an (n, m) score matrix.
+
+    Rows follow source_names and columns target_names; ties break by target name (see top_k).
+    """
+    best = top_k(scores, name_ranks(target_names), k)
+    best_scores = np.take_along_axis(scores, best, axis=1).tolist()
+    return {
+        source: ranked(source, zip(map(target_names.__getitem__, row), row_scores))
+        for source, row, row_scores in zip(source_names, best.tolist(), best_scores)
+    }
+
+
 def place_below(scores, ceiling: float) -> np.ndarray:
     """Map scores strictly below `ceiling`, keeping their order and their ties.
 
@@ -193,13 +206,7 @@ def retrieve_from_vectors(
     if k < 1:
         raise ValueError("k must be >= 1")
     sim = np.asarray(source_vectors) @ np.asarray(target_vectors).T
-    target_names = target.column_names()
-    best = top_k(sim, name_ranks(target_names), k)
-    scores = np.take_along_axis(sim, best, axis=1).tolist()
-    per_source = {
-        col.name: ranked(col.name, zip(map(target_names.__getitem__, row), row_scores))
-        for col, row, row_scores in zip(source.columns, best.tolist(), scores)
-    }
+    per_source = rank_rows(sim, source.column_names(), target.column_names(), k)
     return MatchList(source.name, target.name, per_source, k)
 
 

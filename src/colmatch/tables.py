@@ -151,6 +151,17 @@ def _classify(counts: Counter) -> str:
     return "categorical"
 
 
+def _read_rows(p: Path, kind: str) -> list:
+    """The rows of the UTF-8 CSV at `p`, less a leading byte-order mark; errors name the path."""
+    if not p.is_file():
+        raise FileNotFoundError(f"{kind} file not found: {p}")
+    try:
+        with open(p, encoding="utf-8-sig", newline="") as fh:
+            return list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{p}: not valid UTF-8 ({exc.reason})") from None
+
+
 def load_table(path) -> Table:
     """Read a UTF-8 CSV with a header row into a Table.
 
@@ -160,13 +171,7 @@ def load_table(path) -> Table:
     table is named after the file stem.
     """
     p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"table file not found: {p}")
-    try:
-        with open(p, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{p}: not valid UTF-8 ({exc.reason})") from None
+    rows = _read_rows(p, "table")
     if not rows:
         raise ValueError(f"{p}: empty file, expected a header row")
     header = rows[0]
@@ -187,10 +192,7 @@ def load_table(path) -> Table:
 def load_ground_truth(path) -> GroundTruth:
     """Read a two-column CSV of (source_column, target_column) pairs."""
     p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"ground truth file not found: {p}")
-    with open(p, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(p, "ground truth")
     if not rows or tuple(rows[0]) != GROUND_TRUTH_HEADER:
         raise ValueError(
             f"{p}: expected header {','.join(GROUND_TRUTH_HEADER)!r}"

@@ -1,5 +1,6 @@
 import functools
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -79,6 +80,68 @@ ALL_FLAGS = [
 ]
 
 
+EPILOG_TEXT = """\
+flags across subcommands:
+  --sampling        value sampling strategy (priority, coordinated, frequency, weighted, random)
+  --sample-size     values sampled per column
+  --seed            master seed for sampling / training / grids
+  --serialization   column text format (default, verbose, repeat, header-only)
+  --repeat-k        name repetitions for the repeat format
+  --reranker        second phase: none, bipartite, or llm
+  --llm-endpoint    chat-completion endpoint for the llm reranker / augment
+  --llm-model       model name sent to the endpoint
+  --llm-top-k       how many candidates per column the llm rescores
+  --projection      trained projection head applied to both tables
+  --preset          zs-bp | ft-bp | zs-llm | ft-llm
+  --config          JSON config file mirroring the pipeline config
+  --replay          transcript file; answers LLM prompts offline
+  --record          write prompt/response transcript while running live
+  --report          evaluation report output path (JSON)
+  --classes         training classes file (JSON lines)
+  --epochs          training epochs for finetune
+  --grid            ablation grid spec (JSON)
+  --out             output path or directory
+  --no-llm          augment without semantic variants
+environment: LLM_API_KEY is sent as a bearer token when set.
+"""
+
+
+# a config file setting every path a flag sets, and each flag with a different
+# value and the {path: value} it lays over that file
+FLAG_BASE_CONFIG = {
+    "seed": 1,
+    "sampling": {"strategy": "priority", "sample_size": 10, "seed": 1},
+    "serialization": {"format": "default", "repeat_count": 2},
+    "reranker": "none",
+    "llm": {"endpoint": "http://file.invalid", "model": "file-model"},
+    "llm_top_k": 20,
+    "projection_path": "file-head.bin",
+}
+FLAG_SETS = [
+    ("--seed", "7", {"seed": 7, "sampling.seed": 7}),
+    ("--sampling", "random", {"sampling.strategy": "random"}),
+    ("--sample-size", "3", {"sampling.sample_size": 3}),
+    ("--serialization", "header-only", {"serialization.format": "header_only"}),
+    ("--repeat-k", "5", {"serialization.repeat_count": 5}),
+    ("--reranker", "bipartite", {"reranker": "bipartite"}),
+    ("--llm-endpoint", "http://flag.invalid", {"llm.endpoint": "http://flag.invalid"}),
+    ("--llm-model", "flag-model", {"llm.model": "flag-model"}),
+    ("--llm-top-k", "7", {"llm_top_k": 7}),
+    ("--projection", "flag-head.bin", {"projection_path": "flag-head.bin"}),
+]
+
+
+def flatten(layout, prefix=""):
+    """{dotted path: value} for every leaf of a nested config layout."""
+    flat = {}
+    for key, value in layout.items():
+        if isinstance(value, dict):
+            flat.update(flatten(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
+    return flat
+
+
 @pytest.fixture
 def pair(tmp_path):
     return identity_pair(tmp_path, n_cols=4, n_rows=20)
@@ -111,6 +174,9 @@ class TestHelp:
     def test_epilog_is_the_flag_inventory(self):
         for flag in ALL_FLAGS:
             assert flag in EPILOG
+
+    def test_epilog_text(self):
+        assert EPILOG == EPILOG_TEXT
 
     def test_subcommands_registered(self):
         parser = build_parser()
@@ -153,6 +219,28 @@ class TestMatch:
         err = capsys.readouterr().err
         assert "llm endpoint required" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_llm_reranker_sends_at_most_max_concurrent_requests_at_once(self, tmp_path, pair):
+        source, target, _ = pair
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def handler(path, body):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.05)  # long enough for every free worker to send its request
+            with lock:
+                in_flight[0] -= 1
+            return chat_handler(path, body)
+
+        with JsonStubServer(handler) as server:
+            config = write_config(tmp_path / "cfg.json", {"llm": {"endpoint": server.url, "max_concurrent": 1}})
+            out = str(tmp_path / "m")
+            code = main(["match", str(source), str(target), "--reranker", "llm", "--out", out, "--config", config])
+            sent = len(server.requests)
+        assert code == 0
+        assert (sent, peak[0]) == (4, 1)
 
     @pytest.mark.parametrize("header,weights,problem", MALFORMED_HEADS)
     def test_malformed_projection_file_exits_one(self, tmp_path, pair, capsys, header, weights, problem):
@@ -473,6 +561,14 @@ class TestConfigResolution:
         assert code == 1
         assert capsys.readouterr().err == "error: sampling must be a JSON object, got ['priority']\n"
 
+    @pytest.mark.parametrize("flag, value, sets", FLAG_SETS, ids=[case[0] for case in FLAG_SETS])
+    def test_flag_sets_exactly_its_config_paths(self, tmp_path, pair, flag, value, sets):
+        source, target, _ = pair
+        argv = ["match", str(source), str(target), "--config", write_config(tmp_path / "cfg.json", FLAG_BASE_CONFIG)]
+        before = flatten(resolve_config(self.args_for(argv)).as_dict())
+        after = flatten(resolve_config(self.args_for(argv + [flag, value])).as_dict())
+        assert {path: v for path, v in after.items() if before.get(path) != v} == sets
+
     def test_serialization_flag_accepts_hyphenated_token(self, pair):
         source, target, _ = pair
         args = self.args_for(
@@ -591,6 +687,17 @@ class TestAugmentFinetuneRoundTrip:
             sent = len(server.requests)
         assert code == 0
         assert (sent, peak[0]) == (4, 1)
+
+    def test_augment_warns_of_no_llm_client_unless_told_no_llm(self, tmp_path, pair, caplog):
+        _, target, _ = pair
+        warned = {}
+        for name, flags in (("no-llm", ["--no-llm"]), ("no-endpoint", [])):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                assert main(["augment", str(target), "--out", str(tmp_path / f"{name}.jsonl"), *flags]) == 0
+            warned[name] = any("no LLM client" in r.message for r in caplog.records)
+        assert warned == {"no-llm": False, "no-endpoint": True}
+        assert (tmp_path / "no-llm.jsonl").read_bytes() == (tmp_path / "no-endpoint.jsonl").read_bytes()
 
     def test_augment_with_replay_adds_semantic_members(self, tmp_path, pair):
         _, target, _ = pair

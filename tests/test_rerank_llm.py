@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from colmatch.rerank_llm import (
     LlmTransportError,
     RecordingLlmClient,
     ReplayLlmClient,
+    ask_each,
     build_prompt,
     parse_response,
     rerank_llm,
@@ -402,3 +404,27 @@ class TestReplayAndRecording:
     def test_missing_replay_file_is_an_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ReplayLlmClient(tmp_path / "absent.jsonl")
+
+
+class TestAskEach:
+    def test_answers_come_in_prompt_order_when_the_client_answers_out_of_order(self):
+        second_answered = threading.Event()
+        answered = []
+
+        class SecondFirstClient:
+            def complete(self, prompt):
+                if prompt == "first":
+                    assert second_answered.wait(5), "the second prompt was never sent"
+                answered.append(prompt)
+                if prompt == "second":
+                    second_answered.set()
+                return f"answer to {prompt}"
+
+        answers = ask_each(SecondFirstClient(), {"a": "first", "b": "second"}, str.upper, 2)
+        assert answered == ["second", "first"]
+        assert answers == ["ANSWER TO FIRST", "ANSWER TO SECOND"]
+
+    def test_failed_prompts_answer_none(self):
+        client = FakeClient([LlmTransportError("down")] * 3 + ["x(0.5)"])
+        answers = ask_each(client, {"a": "p", "b": "q"}, parse_response, 1)
+        assert answers == [None, [("x", 0.5)]]

@@ -56,6 +56,11 @@ class TestLoadTable:
         with pytest.raises(ValueError, match="UTF-8"):
             load_table(f)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_bytes(b"\xef\xbb\xbfid,name\r\n1,a\r\n")
+        assert load_table(f).column_names() == ["id", "name"]
+
     def test_missing_markers_become_none(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a\n\nNA\nn/a\nNull\nNONE\nkeep\n", encoding="utf-8")
@@ -201,6 +206,18 @@ class TestGroundTruth:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_ground_truth(tmp_path / "absent.csv")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        f = tmp_path / "gt.csv"
+        f.write_bytes(b"\xef\xbb\xbfsource_column,target_column\r\nA,x\r\n")
+        assert load_ground_truth(f).pairs == {("A", "x")}
+
+    def test_non_utf8_rejected_naming_the_file(self, tmp_path):
+        f = tmp_path / "gt.csv"
+        f.write_bytes(b"source_column,target_column\n\xff,x\n")
+        with pytest.raises(ValueError, match="not valid UTF-8") as raised:
+            load_ground_truth(f)
+        assert str(raised.value).startswith(f"{f}: ")
 
 
 _pools = {
