@@ -21,7 +21,7 @@ from typing import Optional
 from .embedding import EmbeddingProviderConfig, get_provider
 from .linestore import LineStore
 from .metrics import evaluate
-from .pipeline import PipelineConfig, as_integer, read_config
+from .pipeline import PipelineConfig, as_integer, read_config, read_json_file
 from .rerank_llm import LlmConfig
 from .retrieval import column_samples, profile_table
 from .sampling import SamplerConfig
@@ -92,7 +92,7 @@ def _suite_entry(entry):
 
 def load_grid(path) -> ExperimentGrid:
     """The grid file read by read_config: absent keys take ExperimentGrid's defaults."""
-    return read_config(ExperimentGrid, json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_config(ExperimentGrid, read_json_file(path))
 
 
 def _projection_label(path) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .augmentation import DEFAULT_N_SEMANTIC, build_classes, load_classes, write
 from .embedding import ProviderError, get_provider
 from .finetune import TrainConfig, train, save_head
 from .metrics import evaluate, write_report
-from .pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
+from .pipeline import PRESETS, RERANKERS, PipelineConfig, read_json_file, run_pipeline
 from .rerank_llm import DEFAULT_MAX_CONCURRENT, HttpLlmClient, RecordingLlmClient, ReplayLlmClient
 from .retrieval import write_match_csv, write_match_json
 from .sampling import STRATEGIES
@@ -144,7 +143,7 @@ def resolve_config(args) -> PipelineConfig:
     from here; flags a subcommand does not define count as absent, and an
     explicit 0 counts as given.
     """
-    spec = {} if args.config is None else json.loads(Path(args.config).read_text(encoding="utf-8"))
+    spec = {} if args.config is None else read_json_file(args.config)
     if not isinstance(spec, dict):
         raise ValueError("config file must hold a JSON object")
     preset = getattr(args, "preset", None)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .linestore import replace_atomically
 from .metrics import mrr, recall_at_gt
-from .retrieval import MatchList, rank_rows
+from .retrieval import rank_rows
 from .sampling import fnv1a64
 from .serialization import SerializationConfig, serialize
 from .tables import Column, GroundTruth
@@ -211,8 +211,7 @@ def _validation_score(unit: np.ndarray, labels: Sequence[int]) -> float:
     gt = GroundTruth(frozenset(pairs))
     similarity = unit @ unit.T
     np.fill_diagonal(similarity, -np.inf)  # ranks every member but itself
-    per_source = rank_rows(similarity, ids, ids, len(labels) - 1)
-    matches = MatchList("validation", "validation", per_source, k=max(1, len(labels) - 1))
+    matches = rank_rows(("validation", "validation"), similarity, ids, ids, len(labels) - 1)
     return 0.5 * (mrr(matches, gt) + recall_at_gt(matches, gt))
 
 

@@ -13,7 +13,9 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .retrieval import MatchList
+import numpy as np
+
+from .retrieval import MatchList, name_ranks
 from .tables import GroundTruth
 
 
@@ -44,18 +46,23 @@ def write_report(report: EvalReport, path) -> None:
         fh.write("\n")
 
 
+def _pair_codes(matches: MatchList, pairs) -> tuple:
+    """Each entry's (source, target) as one integer code, and a mask over the codes marking `pairs`."""
+    rows = {s: i for i, s in enumerate(matches.sources)}
+    cols = {t: j for j, t in enumerate(matches.targets)}
+    wanted = np.zeros(len(rows) * len(cols), dtype=bool)
+    wanted[[rows[s] * len(cols) + cols[t] for s, t in pairs if s in rows and t in cols]] = True
+    return matches.rows() * len(cols) + matches.target, wanted
+
+
 def first_correct_ranks(matches: MatchList, gt: GroundTruth) -> dict:
     """Rank of the first correct target per ground-truth source (else None)."""
-    ranks = {}
-    for src in sorted(gt.sources()):
-        wanted = gt.targets_for(src)
-        rank = None
-        for cand in matches.per_source.get(src, []):
-            if cand.target in wanted:
-                rank = cand.rank
-                break
-        ranks[src] = rank
-    return ranks
+    codes, wanted = _pair_codes(matches, gt.pairs)
+    hits = np.flatnonzero(wanted[codes])
+    first = {}  # entries run in list order, so a list's first hit comes first
+    for i, rank in zip(matches.rows()[hits].tolist(), matches.rank[hits].tolist()):
+        first.setdefault(matches.sources[i], rank)
+    return {src: first.get(src) for src in sorted(gt.sources())}
 
 
 def mrr(matches: MatchList, gt: GroundTruth) -> float:
@@ -77,10 +84,11 @@ def recall_at_gt(matches: MatchList, gt: GroundTruth) -> float:
     """
     if not gt.pairs:
         raise ValueError("ground truth must be non-empty")
-    ranked = sorted(matches.flat(), key=lambda c: (-c.score, c.source, c.target))
     k = len(gt.pairs)
-    top = {(c.source, c.target) for c in ranked[:k]}
-    return len(top & gt.pairs) / k
+    codes, wanted = _pair_codes(matches, gt.pairs)
+    by_name = (name_ranks(matches.targets)[matches.target], name_ranks(matches.sources)[matches.rows()])
+    top = codes[np.lexsort((*by_name, -matches.score))[:k]]
+    return len(set(top[wanted[top]].tolist())) / k
 
 
 def evaluate(

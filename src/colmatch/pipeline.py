@@ -7,8 +7,10 @@ the matrix {plain encoder, fine-tuned projection} x {bipartite, llm}.
 from __future__ import annotations
 
 import dataclasses
+import json
 import typing
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from . import retrieval
@@ -54,6 +56,17 @@ def as_number(value, key: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def read_json_file(path):
+    """The JSON value in the file at `path`, read as UTF-8 with or without a byte-order mark.
+
+    A file that does not decode or parse is a ValueError naming `path`.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_config(cls, spec, path: str = ""):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .retrieval import MatchList, place_below
+from .retrieval import MatchList, name_ranks, place_below
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,7 @@ def solve_assignment(weights) -> Assignment:
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
         raise ValueError("weights must be a 2-D matrix")
-    present = ~np.isnan(W)
-    if not present.any():
-        return Assignment((), 0.0)
-
-    gain = np.where(present, np.maximum(W, 0.0), 0.0)
+    gain = np.fmax(W, 0.0)  # absent (NaN) and non-positive entries gain 0
     rows, cols = linear_sum_assignment(gain, maximize=True)
     keep = gain[rows, cols] > 0.0
     rows, cols = rows[keep], cols[keep]
@@ -61,19 +57,22 @@ def rerank_bipartite(matches: MatchList) -> MatchList:
     minimum assigned score as ceiling, so a score maps to the same new score
     in every list.  The candidate set of every list is unchanged.
     """
-    sources = list(matches.per_source)
-    targets = sorted({c.target for cands in matches.per_source.values() for c in cands})
-    t_index = {t: j for j, t in enumerate(targets)}
-    W = np.full((len(sources), len(targets)), np.nan)
-    for i, s in enumerate(sources):
-        for cand in matches.per_source[s]:
-            W[i, t_index[cand.target]] = cand.score
+    n = len(matches.sources)
+    row = matches.rows()
+    used = np.unique(matches.target)  # W's columns: the listed targets, in name order
+    column = np.zeros(len(matches.targets), dtype=np.intp)
+    column[used] = name_ranks([matches.targets[t] for t in used.tolist()])
+    col = column[matches.target]
+    W = np.full((n, len(used)), np.nan)
+    W[row, col] = matches.score
 
     assignment = solve_assignment(W)
-    lead = {s: [] for s in sources}
+    lead_col, lead_w = np.full(n, -1), np.full(n, np.nan)
     for r, c, w in assignment.edges:
-        lead[sources[r]].append((targets[c], w))
+        lead_col[r], lead_w[r] = c, w
+    lead = (col == lead_col[row]) & (matches.score == lead_w[row])
     w_low = min((w for _, _, w in assignment.edges), default=math.inf)
-    rest = {s: [c for c in matches.per_source[s] if (c.target, c.score) not in lead[s]] for s in sources}
-    placed = iter(place_below([c.score for s in sources for c in rest[s]], w_low).tolist())
-    return matches.reranked((s, lead[s] + [(c.target, next(placed)) for c in rest[s]]) for s in sources)
+    score = matches.score.copy()
+    score[~lead] = place_below(score[~lead], w_low)
+    order = np.lexsort((~lead, row))  # stable: each row's lead, then the rest in input order
+    return matches.reranked(np.diff(matches.offsets), matches.target[order], score[order])

@@ -245,24 +245,23 @@ def ask_each(client, prompts: dict, parse, max_concurrent: int) -> list:
         return list(pool.map(ask, prompts))
 
 
-def _merge_scores(candidates, sent, parsed):
-    """(target, score) entries: the model's scores first, then the leftovers placed below them."""
-    by_name = {c.target: c for c in sent}
-    matched = {}
-    scored = []  # (target, llm score) in parse order
+def _merge_scores(names, targets, scores, n_send, parsed):
+    """One list's (target, score) entries: the model's scores first, then the leftovers placed below them.
+
+    `targets` index `names`; the first n_send of them were sent to the model.
+    """
+    sent = {names[t]: t for t in targets[:n_send]}
+    scored = {}  # target -> llm score, in parse order
     for name, score in parsed:
-        cand = by_name.get(name)
-        if cand is None or cand.target in matched:
-            continue  # unknown names ignored; first occurrence wins on repeats
-        matched[cand.target] = score
-        scored.append((cand.target, score))
+        if name in sent:  # unknown names ignored; first occurrence wins on repeats
+            scored.setdefault(sent[name], score)
     if not scored:  # every attempt failed, or no name matched: embedding scores stand
-        return [(c.target, c.score) for c in candidates]
+        return list(zip(targets, scores))
     # leftovers: candidates the model omitted plus the not-sent tail, in
     # retrieval order below the model's lowest score (parse order is descending)
-    leftovers = [c for c in candidates if c.target not in matched]
-    placed = place_below([c.score for c in leftovers], scored[-1][1]).tolist()
-    return scored + [(c.target, score) for c, score in zip(leftovers, placed)]
+    leftovers = [(t, score) for t, score in zip(targets, scores) if t not in scored]
+    placed = place_below([score for _, score in leftovers], list(scored.values())[-1]).tolist()
+    return list(scored.items()) + [(t, score) for (t, _), score in zip(leftovers, placed)]
 
 
 def rerank_llm(
@@ -291,17 +290,19 @@ def rerank_llm(
         client = HttpLlmClient(config)
     max_concurrent = config.max_concurrent if config is not None else DEFAULT_MAX_CONCURRENT
 
+    names, offsets = matches.targets, matches.offsets.tolist()
+    target, score = matches.target.tolist(), matches.score.tolist()
+    lists = {s: (target[lo:hi], score[lo:hi]) for s, lo, hi in zip(matches.sources, offsets, offsets[1:])}
     prompts = {}
-    for source_name, candidates in matches.per_source.items():
-        if candidates:
+    for source_name, (targets, _) in lists.items():
+        if targets:
             prompts[source_name] = build_prompt(
                 (source_name, source_samples.get(source_name, [])),
-                [(c.target, target_samples.get(c.target, [])) for c in candidates[:n_send]],
+                [(names[t], target_samples.get(names[t], [])) for t in targets[:n_send]],
             )
             log.debug("rerank prompt for %r: ~%d tokens", source_name, len(prompts[source_name].split()))
     # read here, not bound at import: bench/tracing.py replaces parse_response to count parse failures
     answers = dict(zip(prompts, ask_each(client, prompts, parse_response, max_concurrent)))
-    return matches.reranked(
-        (source_name, _merge_scores(candidates, candidates[:n_send], answers.get(source_name) or ()))
-        for source_name, candidates in matches.per_source.items()
-    )
+    merged = [_merge_scores(names, *lists[s], n_send, answers.get(s) or ()) for s in lists]
+    flat = [entry for entries in merged for entry in entries]
+    return matches.reranked([len(m) for m in merged], [t for t, _ in flat], [score for _, score in flat])

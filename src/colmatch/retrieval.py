@@ -6,12 +6,16 @@ builds the full source x target cosine matrix from those vectors, emits the
 top-k candidates per source column (ties broken by target name), and
 applies the exact-name override that pins trivially-matching names to a
 perfect score of 1.0.
+
+The candidate lists stay arrays from top_k on: a MatchList holds flat
+target-index, score and rank arrays cut into one list per source column.
+The pins, both rerankers, the writers and the metrics read and build those
+arrays; MatchCandidate objects are built only when `per_source` is read.
 """
 
 from __future__ import annotations
 
-import csv
-import json
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -31,6 +35,9 @@ DEFAULT_K = 20
 HASH_BATCH = 2048
 
 _NAME_JUNK_RE = re.compile(r"[^a-z0-9]")
+_CSV_QUOTED_RE = re.compile('[,"\r\n]')
+# json.dumps spells the non-finite floats apart from repr()
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -41,14 +48,63 @@ class MatchCandidate:
     rank: int
 
 
-@dataclass
 class MatchList:
-    """Ranked candidates per source column, in source-table column order."""
+    """Ranked candidates per source column, in source-table column order.
 
-    source_table: str
-    target_table: str
-    per_source: dict
-    k: int
+    The list of sources[i] is entries offsets[i]:offsets[i + 1] of the flat
+    arrays `target` (indices into `targets`, distinct names), `score` and
+    `rank`, left unchanged once built.  MatchList(source_table,
+    target_table, per_source, k) takes hand-built {source: [MatchCandidate]}
+    lists with any ranks; MatchList.of takes arrays.  `per_source` builds
+    MatchCandidates on its first read, for `candidates()` and `flat()` too;
+    no pipeline stage reads it.
+    """
+
+    def __init__(self, source_table: str, target_table: str, per_source: dict, k: int) -> None:
+        flat = [c for cands in per_source.values() for c in cands]
+        index = {}
+        target = [index.setdefault(c.target, len(index)) for c in flat]
+        lengths = [len(cands) for cands in per_source.values()]
+        arrays = (lengths, target, [c.score for c in flat], [c.rank for c in flat])
+        vars(self).update(vars(MatchList.of(source_table, target_table, k, per_source, index, *arrays)))
+
+    @classmethod
+    def of(cls, source_table, target_table, k, sources, targets, lengths, target, score, rank=None):
+        """The lists of `sources`, `lengths` entries each, ranked 1..n unless `rank` is given."""
+        matches = cls.__new__(cls)
+        matches.source_table, matches.target_table, matches.k = source_table, target_table, k
+        matches.sources, matches.targets = tuple(sources), tuple(targets)
+        matches.offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+        matches.target, matches.score = np.asarray(target, np.intp), np.asarray(score, np.float64)
+        if rank is None:
+            rank = np.arange(1, len(matches.target) + 1) - matches.offsets[matches.rows()]
+        matches.rank = np.asarray(rank, np.int64)
+        return matches
+
+    def reranked(self, lengths, target, score) -> MatchList:
+        """These tables, sources, targets and k, with new lists ranked 1..n."""
+        frame = (self.source_table, self.target_table, self.k, self.sources, self.targets)
+        return MatchList.of(*frame, lengths, target, score)
+
+    def rows(self) -> np.ndarray:
+        """The index in `sources` of each entry's list."""
+        return np.repeat(np.arange(len(self.sources)), np.diff(self.offsets))
+
+    def entries(self, scores) -> zip:
+        """(list index, target index, score, rank) of each entry, the score taken from `scores`."""
+        return zip(self.rows().tolist(), self.target.tolist(), scores, self.rank.tolist())
+
+    @functools.cached_property
+    def score_texts(self) -> list:
+        """repr() of each score: the costliest step of each writer, so they share it."""
+        return list(map(repr, self.score.tolist()))
+
+    @functools.cached_property
+    def per_source(self) -> dict:
+        lists = {source: [] for source in self.sources}
+        for i, t, score, rank in self.entries(self.score.tolist()):
+            lists[self.sources[i]].append(MatchCandidate(self.sources[i], self.targets[t], score, rank))
+        return lists
 
     def candidates(self, source: str) -> list:
         return self.per_source[source]
@@ -56,18 +112,9 @@ class MatchList:
     def flat(self) -> list:
         return [cand for ranked in self.per_source.values() for cand in ranked]
 
-    def reranked(self, lists) -> MatchList:
-        """These tables and k, with a list built by `ranked` for each (source, entries) pair in `lists`."""
-        per_source = {source: ranked(source, entries) for source, entries in lists}
-        return MatchList(self.source_table, self.target_table, per_source, self.k)
-
-
-def ranked(source: str, entries) -> list:
-    """`source`'s candidates from (target, score) entries, ranked 1..n in entry order."""
-    return [
-        MatchCandidate(source, target, score, rank)
-        for rank, (target, score) in enumerate(entries, start=1)
-    ]
+    def __eq__(self, other) -> bool:
+        key = lambda m: (m.source_table, m.target_table, m.per_source, m.k)
+        return isinstance(other, MatchList) and key(self) == key(other)
 
 
 def normalize_name(name: str) -> str:
@@ -160,17 +207,17 @@ def top_k(scores, name_rank, k: int) -> np.ndarray:
     return cols[order][starts[:, None] + np.arange(k)]
 
 
-def rank_rows(scores, source_names: Sequence[str], target_names: Sequence[str], k: int) -> dict:
-    """Each source's ranked list of its min(k, m) best targets in its row of an (n, m) score matrix.
+def rank_rows(tables, scores, source_names: Sequence[str], target_names: Sequence[str], k: int) -> MatchList:
+    """The MatchList of each source's min(k, m) best targets in its row of an (n, m) score matrix.
 
-    Rows follow source_names and columns target_names; ties break by target name (see top_k).
+    `tables` names the (source, target) tables; rows follow source_names
+    and columns target_names, which are distinct.  Ties break by target
+    name (see top_k).
     """
     best = top_k(scores, name_ranks(target_names), k)
-    best_scores = np.take_along_axis(scores, best, axis=1).tolist()
-    return {
-        source: ranked(source, zip(map(target_names.__getitem__, row), row_scores))
-        for source, row, row_scores in zip(source_names, best.tolist(), best_scores)
-    }
+    n, width = best.shape
+    best_scores = np.take_along_axis(np.asarray(scores), best, axis=1)
+    return MatchList.of(*tables, k, source_names, target_names, [width] * n, best.ravel(), best_scores.ravel())
 
 
 def place_below(scores, ceiling: float) -> np.ndarray:
@@ -206,8 +253,7 @@ def retrieve_from_vectors(
     if k < 1:
         raise ValueError("k must be >= 1")
     sim = np.asarray(source_vectors) @ np.asarray(target_vectors).T
-    per_source = rank_rows(sim, source.column_names(), target.column_names(), k)
-    return MatchList(source.name, target.name, per_source, k)
+    return rank_rows((source.name, target.name), sim, source.column_names(), target.column_names(), k)
 
 
 def exact_name_override(matches: MatchList, source: Table, target: Table) -> MatchList:
@@ -220,17 +266,29 @@ def exact_name_override(matches: MatchList, source: Table, target: Table) -> Mat
     norm_targets = {}
     for tcol in target.columns:
         norm_targets.setdefault(normalize_name(tcol.name), []).append(tcol.name)
+    index = {t: j for j, t in enumerate(matches.targets)}
+    sources = source.column_names()
+    pins = [
+        (i, index.setdefault(t, len(index)))
+        for i, name in enumerate(sources)
+        for t in sorted(norm_targets.get(normalize_name(name), []))
+    ]
+    pin_rows, pin_targets = np.array(pins, dtype=np.intp).reshape(-1, 2).T
 
-    per_source = {}
-    for scol in source.columns:
-        candidates = matches.per_source.get(scol.name, [])
-        pinned = sorted(norm_targets.get(normalize_name(scol.name), []))
-        if pinned:
-            entries = [(name, 1.0) for name in pinned]
-            entries += [(c.target, c.score) for c in candidates if c.target not in pinned]
-            candidates = ranked(scol.name, entries)
-        per_source[scol.name] = candidates
-    return MatchList(matches.source_table, matches.target_table, per_source, matches.k)
+    # each entry's row in the source table's order (-1: its source is not there)
+    position = {name: i for i, name in enumerate(sources)}
+    row = np.array([position.get(s, -1) for s in matches.sources], dtype=np.intp)[matches.rows()]
+    pinned = np.zeros(len(sources) * len(index), dtype=bool)
+    pinned[pin_rows * len(index) + pin_targets] = True
+    keep = row >= 0
+    keep[keep] = ~pinned[row[keep] * len(index) + matches.target[keep]]
+    # pins lead the stable sort, so each row holds its pins, then its kept entries in order
+    row = np.concatenate((pin_rows, row[keep]))
+    order = np.argsort(row, kind="stable")
+    target = np.concatenate((pin_targets, matches.target[keep]))[order]
+    score = np.concatenate((np.ones(len(pin_rows)), matches.score[keep]))[order]
+    lengths = np.bincount(row, minlength=len(sources))
+    return MatchList.of(matches.source_table, matches.target_table, matches.k, sources, index, lengths, target, score)
 
 
 def match_list_as_dict(matches: MatchList) -> dict:
@@ -249,21 +307,19 @@ def match_list_as_dict(matches: MatchList) -> dict:
     }
 
 
-def _json_float(x: float) -> str:
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-
-
 def write_match_json(matches: MatchList, path) -> None:
     """Write match_list_as_dict() as json.dump(ensure_ascii=False, indent=2) would, plus a newline.
 
-    Formatted directly: the indenting encoder is pure Python and dominates
-    the write on wide tables.
+    Formatted directly, each name escaped once: the indenting encoder is
+    pure Python and dominates the write on wide tables.
     """
     enc = encode_basestring
+    heads = [f'    {{\n      "source": {enc(s)},\n      "target": ' for s in matches.sources]
+    targets = [enc(t) for t in matches.targets]
+    scores = [_JSON_NON_FINITE.get(text, text) for text in matches.score_texts]
     entries = ",\n".join(
-        f'    {{\n      "source": {enc(c.source)},\n      "target": {enc(c.target)},\n'
-        f'      "score": {_json_float(c.score)},\n      "rank": {c.rank}\n    }}'
-        for c in matches.flat()
+        f'{heads[i]}{targets[t]},\n      "score": {score},\n      "rank": {rank}\n    }}'
+        for i, t, score, rank in matches.entries(scores)
     )
     listing = f"[\n{entries}\n  ]" if entries else "[]"
     with open(path, "w", encoding="utf-8") as fh:
@@ -274,9 +330,16 @@ def write_match_json(matches: MatchList, path) -> None:
         )
 
 
+def _csv_field(name: str) -> str:
+    """`name` as csv.writer's default dialect writes it: quoted, inner quotes doubled, if it holds , " CR or LF."""
+    return '"' + name.replace('"', '""') + '"' if _CSV_QUOTED_RE.search(name) else name
+
+
 def write_match_csv(matches: MatchList, path) -> None:
+    """Write a source,target,score,rank header and one row per candidate, as csv.writer would."""
+    sources, targets = [_csv_field(s) for s in matches.sources], [_csv_field(t) for t in matches.targets]
+    rows = "".join(
+        f"{sources[i]},{targets[t]},{score},{rank}\r\n" for i, t, score, rank in matches.entries(matches.score_texts)
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target", "score", "rank"])
-        for cand in matches.flat():
-            writer.writerow([cand.source, cand.target, repr(cand.score), cand.rank])
+        fh.write("source,target,score,rank\r\n" + rows)

@@ -295,6 +295,22 @@ class TestLoadGrid:
         with pytest.raises(ValueError, match="suite entries"):
             load_grid(path)
 
+    def test_grid_file_with_a_byte_order_mark_is_read(self, tmp_path):
+        suite = make_suite(tmp_path)
+        path = tmp_path / "grid.json"
+        spec = {"suite": [list(entry) for entry in suite], "repetitions": 2}
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(spec).encode("utf-8"))
+        grid = load_grid(path)
+        assert grid.suite == suite and grid.repetitions == 2
+
+    @pytest.mark.parametrize("content", [b'{"suite": [', b'{"suite": "\xff"}'], ids=["truncated", "not-utf-8"])
+    def test_grid_file_that_does_not_read_names_itself(self, tmp_path, content):
+        path = tmp_path / "grid.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as raised:
+            load_grid(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
     def test_llm_section_parsed(self, tmp_path):
         suite = make_suite(tmp_path)
         spec = {

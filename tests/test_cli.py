@@ -561,6 +561,28 @@ class TestConfigResolution:
         assert code == 1
         assert capsys.readouterr().err == "error: sampling must be a JSON object, got ['priority']\n"
 
+    def test_config_file_with_a_byte_order_mark_is_read(self, tmp_path, pair):
+        source, target, _ = pair
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'\xef\xbb\xbf{"seed": 3}')
+        argv = ["match", str(source), str(target), "--config", str(config)]
+        assert resolve_config(self.args_for(argv)).seed == 3
+        assert main(argv + ["--out", str(tmp_path / "m")]) == 0
+
+    @pytest.mark.parametrize(
+        "content, fault",
+        [(b'{"seed": 3', "Expecting"), (b'{"seed": "\xff"}', "can't decode")],
+        ids=["truncated", "not-utf-8"],
+    )
+    def test_config_file_that_does_not_read_names_itself(self, tmp_path, pair, capsys, content, fault):
+        source, target, _ = pair
+        config = tmp_path / "cfg.json"
+        config.write_bytes(content)
+        out = str(tmp_path / "m")
+        assert main(["match", str(source), str(target), "--out", out, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ") and fault in err
+
     @pytest.mark.parametrize("flag, value, sets", FLAG_SETS, ids=[case[0] for case in FLAG_SETS])
     def test_flag_sets_exactly_its_config_paths(self, tmp_path, pair, flag, value, sets):
         source, target, _ = pair

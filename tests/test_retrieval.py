@@ -338,6 +338,106 @@ class TestMatchJsonBytes:
         assert _same_bytes_as_json_dump(MatchList(table, table[::-1], per_source, 20))
 
 
+def _csv_writer_reference(matches, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["source", "target", "score", "rank"])
+        for cand in matches.flat():
+            writer.writerow([cand.source, cand.target, repr(cand.score), cand.rank])
+
+
+def _same_bytes_as_csv_writer(matches):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_match_csv(matches, got)
+        _csv_writer_reference(matches, want)
+        return got.read_bytes() == want.read_bytes()
+
+
+# names built from the characters csv.writer quotes or keeps as they are
+_CSV_NAMES = st.text(st.sampled_from(',"\r\n \tab\x00é☃名 '), max_size=6) | st.text(max_size=6)
+_EDGE_SCORES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300])
+
+
+class TestMatchCsvBytes:
+    def test_quotes_and_non_finite_scores(self):
+        names = ["a,b", 'quo"te', "cr\rlf\n", " lead", "trail ", " ", "", "naïve ☃ 名前", "plain"]
+        scores = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2]
+        per_source = {
+            src: [
+                MatchCandidate(src, tgt, scores[(i + j) % len(scores)], (i * 7 + j) * 10**5 + 1)
+                for j, tgt in enumerate(names)
+            ]
+            for i, src in enumerate(names)
+        }
+        assert _same_bytes_as_csv_writer(MatchList("s", "t", per_source, 5))
+
+    def test_empty_match_list(self):
+        assert _same_bytes_as_csv_writer(MatchList("s", "t", {}, 20))
+        assert _same_bytes_as_csv_writer(MatchList("s", "t", {"a": []}, 20))
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(_CSV_NAMES, _CSV_NAMES, st.floats() | _EDGE_SCORES, st.integers(1, 10**6)),
+            max_size=8,
+        )
+    )
+    def test_equals_csv_writer(self, entries):
+        per_source = {}
+        for src, tgt, score, rank in entries:
+            per_source.setdefault(src, []).append(MatchCandidate(src, tgt, score, rank))
+        assert _same_bytes_as_csv_writer(MatchList("s", "t", per_source, 20))
+
+
+def _fields(candidates):
+    """Each candidate's fields with the score's repr, so NaN and -0.0 compare too."""
+    return [(c.source, c.target, repr(c.score), type(c.score), c.rank, type(c.rank)) for c in candidates]
+
+
+class TestHandBuiltMatchList:
+    @settings(max_examples=200)
+    @given(
+        st.dictionaries(
+            st.text(max_size=3),
+            st.lists(
+                # a two-letter alphabet forces duplicate targets within a list
+                st.tuples(
+                    st.text("ab", max_size=2) | st.text(max_size=3),
+                    st.floats() | _EDGE_SCORES,
+                    st.integers(-(10**6), 10**6),
+                ),
+                max_size=5,
+            ),
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_gives_back_its_lists(self, drawn, as_tuples):
+        per_source = {
+            src: (tuple if as_tuples else list)(MatchCandidate(src, t, x, r) for t, x, r in entries)
+            for src, entries in drawn.items()
+        }
+        matches = MatchList("src", "dst", per_source, 7)
+        assert (matches.source_table, matches.target_table, matches.k) == ("src", "dst", 7)
+        assert list(matches.per_source) == list(per_source)
+        for src, cands in per_source.items():
+            assert _fields(matches.per_source[src]) == _fields(cands)
+            assert _fields(matches.candidates(src)) == _fields(cands)
+        assert _fields(matches.flat()) == _fields(c for cands in per_source.values() for c in cands)
+
+    def test_targets_of_no_table_pass_the_pins_untouched(self):
+        per_source = {"age": [MatchCandidate("age", "elsewhere", 0.5, 3), MatchCandidate("age", "x", 0.25, 9)]}
+        matches = MatchList("s", "t", per_source, 2)
+        assert _fields(matches.flat()) == _fields(per_source["age"])
+        pinned = exact_name_override(matches, _table("s", ["age"]), _table("t", ["AGE", "x"]))
+        assert [(c.target, c.score, c.rank) for c in pinned.candidates("age")] == [
+            ("AGE", 1.0, 1),
+            ("elsewhere", 0.5, 2),
+            ("x", 0.25, 3),
+        ]
+
+
 @st.composite
 def _scores_and_ceiling(draw):
     """Scores in [-1, 1] with forced 1-ulp neighbours, signed zeros and repeats."""
