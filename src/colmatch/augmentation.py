@@ -13,15 +13,15 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .linestore import replace_atomically
+from .pipeline import json_object, read_config, read_json_file
 from .rerank_llm import DEFAULT_MAX_CONCURRENT, LlmParseError, ask_each
 from .retrieval import column_samples
 # sample_values stays importable from here: bench/tracing.py wraps colmatch.augmentation.sample_values
-from .sampling import SamplerConfig, fnv1a64, sample_values  # noqa: F401
+from .sampling import SamplerConfig, child_rng, sample_values  # noqa: F401
 from .tables import Column, Table
 
 log = logging.getLogger(__name__)
@@ -62,13 +62,12 @@ class AugmentationParseError(LlmParseError):
 @dataclass(frozen=True)
 class ClassMember:
     name: str
-    values: tuple
+    values: tuple[str, ...]
     origin: str
 
     def __post_init__(self) -> None:
         if self.origin not in ORIGINS:
-            raise ValueError(f"unknown member origin: {self.origin!r}")
-        object.__setattr__(self, "values", tuple(self.values))
+            raise ValueError(f"member {self.name!r}: unknown origin {self.origin!r}")
 
 
 @dataclass(frozen=True)
@@ -76,21 +75,15 @@ class TrainingClass:
     """An anchor column and its variants; members[0] is always the anchor."""
 
     class_id: int
-    members: tuple
+    members: tuple[ClassMember, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
         if not self.members or self.members[0].origin != "anchor":
             raise ValueError("first member must be the anchor")
 
     @property
     def anchor(self) -> ClassMember:
         return self.members[0]
-
-
-def _child_rng(seed: int, *parts) -> random.Random:
-    tag = ":".join(str(p) for p in parts)
-    return random.Random(fnv1a64(f"{seed}/{tag}".encode("utf-8")))
 
 
 def _perturb_values(values: Sequence[str], rng: random.Random) -> list:
@@ -132,7 +125,7 @@ def structural_variants(column: Column, count: int, seed: int) -> list:
     for i in range(count):
         variant = None
         for attempt in range(MAX_REDRAWS + 1):
-            rng = _child_rng(seed, column.name, i, attempt)
+            rng = child_rng(seed, column.name, i, attempt)
             candidate = (
                 _perturb_name(column.name, rng),
                 tuple(_perturb_values(base_values, rng)),
@@ -141,7 +134,7 @@ def structural_variants(column: Column, count: int, seed: int) -> list:
             if candidate != anchor:
                 break
         if variant == anchor:
-            rng = _child_rng(seed, column.name, i, "accept")
+            rng = child_rng(seed, column.name, i, "accept")
             shuffled = list(variant[1])
             rng.shuffle(shuffled)
             variant = (variant[0], tuple(shuffled))
@@ -183,7 +176,7 @@ def _distinct_from_anchor(anchor_name, anchor_values, name, values, seed, idx):
     candidate = (name, tuple(values))
     redraws = 0
     while candidate == anchor and redraws < MAX_REDRAWS:
-        rng = _child_rng(seed, anchor_name, "semantic", idx, redraws)
+        rng = child_rng(seed, anchor_name, "semantic", idx, redraws)
         shuffled = list(candidate[1])
         rng.shuffle(shuffled)
         candidate = (candidate[0], tuple(shuffled))
@@ -233,28 +226,31 @@ def build_classes(
 
 
 def write_classes(classes: Sequence[TrainingClass], path) -> None:
-    """Write one JSON line per class, whole or not at all (see replace_atomically)."""
+    """One dataclasses.asdict line per class, written whole or not at all (see replace_atomically)."""
     with replace_atomically(path, encoding="utf-8") as fh:
         for cls in classes:
-            record = {
-                "class_id": cls.class_id,
-                "members": [
-                    {"name": m.name, "values": list(m.values), "origin": m.origin}
-                    for m in cls.members
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(asdict(cls), ensure_ascii=False) + "\n")
 
 
 def load_classes(path) -> list:
-    classes = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        members = tuple(
-            ClassMember(m["name"], tuple(m["values"]), m["origin"])
-            for m in record["members"]
-        )
-        classes.append(TrainingClass(int(record["class_id"]), members))
-    return classes
+    """The classes in `path`, one per non-blank line, each read by read_config.
+
+    The file is read as a config file is; errors name the path, the line
+    and, where there is one, the key.  A repeated class_id is an error.
+    """
+
+    def parse(text: str) -> list:
+        classes = {}  # class_id -> class, in line order
+        for number, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                cls = read_config(TrainingClass, json_object(line))
+                if cls.class_id in classes:
+                    raise ValueError(f"class_id {cls.class_id} is taken by an earlier line")
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+            classes[cls.class_id] = cls
+        return list(classes.values())
+
+    return read_json_file(path, parse)

@@ -144,8 +144,6 @@ def resolve_config(args) -> PipelineConfig:
     explicit 0 counts as given.
     """
     spec = {} if args.config is None else read_json_file(args.config)
-    if not isinstance(spec, dict):
-        raise ValueError("config file must hold a JSON object")
     preset = getattr(args, "preset", None)
     if preset:
         _lay_over(spec, "reranker", PRESETS[preset][0])

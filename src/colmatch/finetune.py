@@ -25,7 +25,7 @@ import numpy as np
 from .linestore import replace_atomically
 from .metrics import mrr, recall_at_gt
 from .retrieval import rank_rows
-from .sampling import fnv1a64
+from .sampling import child_rng
 from .serialization import SerializationConfig, serialize
 from .tables import Column, GroundTruth
 
@@ -152,32 +152,32 @@ def _hardest_pairs(distances: np.ndarray, labels: Sequence[int]) -> list:
     return list(zip(positives.tolist(), negatives.tolist()))
 
 
+def _hinge_terms(distances: np.ndarray, labels: Sequence[int], margin: float):
+    """(hardest positives, hardest negatives, margin + d(a, p) - d(a, n)) per anchor a, as arrays."""
+    positives, negatives = np.array(_hardest_pairs(distances, labels)).T
+    anchors = np.arange(len(labels))
+    return positives, negatives, margin + distances[anchors, positives] - distances[anchors, negatives]
+
+
 def batch_hard_loss(batch: TripletBatch, margin: float):
     """Sum over anchors of max(0, margin + d(a, hardest pos) - d(a, hardest neg)).
 
     Returns (loss, hardest) where hardest[a] = (positive index, negative index).
     """
-    distances = _distance_matrix(batch.embeddings)
-    hardest = _hardest_pairs(distances, batch.labels)
-    positives, negatives = np.array(hardest).T
-    anchors = np.arange(len(hardest))
-    hinge = np.maximum(0.0, margin + distances[anchors, positives] - distances[anchors, negatives])
-    return float(hinge.sum()), hardest
+    positives, negatives, terms = _hinge_terms(_distance_matrix(batch.embeddings), batch.labels, margin)
+    return float(np.maximum(0.0, terms).sum()), list(zip(positives.tolist(), negatives.tolist()))
 
 
-def loss_gradient(batch: TripletBatch, margin: float, matrix: np.ndarray) -> np.ndarray:
-    """Analytic d(loss)/dW at W=matrix, batch rows being pre-projection vectors.
+def _triplet_step(batch: TripletBatch, margin: float, matrix: np.ndarray):
+    """(batch_hard_loss of the projected rows, analytic d(loss)/dW) at W=matrix, from one projection.
 
     Hardest-pair selection is held constant; the hinge is non-differentiable
     exactly at 0 and we take the zero subgradient there.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
     vectors = batch.embeddings
     unit, norms = _project_rows(matrix, vectors)
-    distances = _distance_matrix(unit)
-    positives, negatives = np.array(_hardest_pairs(distances, batch.labels)).T
-    anchors = np.arange(len(vectors))
-    active = margin + distances[anchors, positives] - distances[anchors, negatives] > 0.0
+    positives, negatives, terms = _hinge_terms(_distance_matrix(unit), batch.labels, margin)
+    active = terms > 0.0
 
     # term = margin - u_a.u_p + u_a.u_n, for every anchor whose hinge is active
     grad_unit = np.where(active[:, None], unit[negatives] - unit[positives], 0.0)
@@ -192,7 +192,12 @@ def loss_gradient(batch: TripletBatch, margin: float, matrix: np.ndarray) -> np.
         out=np.zeros_like(unit),
         where=norms[:, None] != 0.0,
     )
-    return tangent.T @ vectors
+    return float(np.maximum(0.0, terms).sum()), tangent.T @ vectors
+
+
+def loss_gradient(batch: TripletBatch, margin: float, matrix: np.ndarray) -> np.ndarray:
+    """Analytic d(loss)/dW at W=matrix, batch rows being pre-projection vectors (see _triplet_step)."""
+    return _triplet_step(batch, margin, np.asarray(matrix, dtype=np.float64))[1]
 
 
 def _member_text(name: str, values: Sequence[str]) -> str:
@@ -266,28 +271,23 @@ def train(
     if len(classes) < MIN_CLASSES:
         raise ValueError(f"need at least {MIN_CLASSES} classes to train, got {len(classes)}")
 
-    texts, owners = [], []
+    texts, members_by_class = [], {}  # class id -> its members' rows in texts
     for cls in classes:
-        for member in cls.members:
-            texts.append(_member_text(member.name, member.values))
-            owners.append(cls.class_id)
+        if cls.class_id in members_by_class:
+            raise ValueError(f"class id {cls.class_id} is given to more than one class")
+        if len(cls.members) < 2:
+            raise ValueError(f"class {cls.class_id} has fewer than 2 members")
+        members_by_class[cls.class_id] = list(range(len(texts), len(texts) + len(cls.members)))
+        texts.extend(_member_text(member.name, member.values) for member in cls.members)
     base = np.vstack(provider.embed(texts))
-    dimension = base.shape[1]
 
-    members_by_class = {}
-    for row, cid in enumerate(owners):
-        members_by_class.setdefault(cid, []).append(row)
-    for cid, rows in members_by_class.items():
-        if len(rows) < 2:
-            raise ValueError(f"class {cid} has fewer than 2 members")
-
-    rng = random.Random(fnv1a64(f"{config.seed}/train".encode("utf-8")))
+    rng = child_rng(config.seed, "train")
     train_ids, val_ids = _split_classes(sorted(members_by_class), rng)
     val_rows = [r for cid in val_ids for r in members_by_class[cid]]
     val_vectors = base[val_rows]
-    val_labels = [owners[r] for r in val_rows]
+    val_labels = [cid for cid in val_ids for _ in members_by_class[cid]]
 
-    matrix = np.eye(dimension)
+    matrix = np.eye(base.shape[1])
     unit, _ = _project_rows(matrix, val_vectors)
     best_score = _validation_score(unit, val_labels)
     best_matrix = matrix.copy()
@@ -300,11 +300,9 @@ def train(
     for epoch in range(1, config.epochs + 1):
         epoch_loss = 0.0
         for rows, labels in _make_batches(train_ids, members_by_class, rng):
-            batch = TripletBatch(base[rows], tuple(labels))
-            unit, _ = _project_rows(matrix, batch.embeddings)
-            loss, _ = batch_hard_loss(TripletBatch(unit, batch.labels), MARGIN)
+            loss, gradient = _triplet_step(TripletBatch(base[rows], tuple(labels)), MARGIN, matrix)
             epoch_loss += loss
-            matrix = matrix - LEARNING_RATE * loss_gradient(batch, MARGIN, matrix)
+            matrix = matrix - LEARNING_RATE * gradient
 
         unit, _ = _project_rows(matrix, val_vectors)
         score = _validation_score(unit, val_labels)

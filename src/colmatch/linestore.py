@@ -3,11 +3,14 @@
 A LineStore appends one record per line.  A crash mid-append leaves a last
 line without its newline, or one that does not parse: such a line is
 ignored on read and cut off before the next append; a bad line anywhere
-earlier still raises.  replace_atomically writes a file whole or not at all.
+earlier still raises, naming the path and the line.  A leading UTF-8
+byte-order mark is dropped.  replace_atomically writes a file whole or not
+at all.
 """
 
 from __future__ import annotations
 
+import codecs
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,17 +45,22 @@ class LineStore:
             return []
         data = self.path.read_bytes()
         end = data.rfind(b"\n") + 1  # bytes after the last newline are a torn write
-        lines = data[:end].splitlines(keepends=True)
+        start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+        lines = data[start:end].splitlines(keepends=True)
         records = []
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
             try:
                 records.append(self._parse(line.decode("utf-8")))
-            except ValueError:  # JSONDecodeError, binascii.Error, UnicodeDecodeError
-                if i < len(lines) - 1:
-                    raise
-                end -= len(line)
+            except ValueError as exc:  # JSONDecodeError, binascii.Error, UnicodeDecodeError
+                if i == len(lines) - 1:
+                    end -= len(line)
+                    continue
+                if isinstance(exc, UnicodeDecodeError):  # its text comes from its fields, not its args
+                    exc = ValueError(f"not valid UTF-8 ({exc.reason})")
+                exc.args = (f"{self.path}:{i + 1}: {exc}",)  # the place prepended, the type kept
+                raise exc from None
         if end < len(data):
             self._torn = (end, len(data))
         return records

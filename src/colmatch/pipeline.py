@@ -58,15 +58,43 @@ def as_number(value, key: str) -> float:
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
-def read_json_file(path):
-    """The JSON value in the file at `path`, read as UTF-8 with or without a byte-order mark.
+def json_object(text: str) -> dict:
+    """The JSON object `text` holds; any other JSON value is a ValueError."""
+    value = json.loads(text)
+    if not isinstance(value, dict):
+        raise ValueError(f"must hold a JSON object, got {type(value).__name__}")
+    return value
 
-    A file that does not decode or parse is a ValueError naming `path`.
+
+def read_json_file(path, parse=json_object):
+    """parse(text) of the file at `path`, read as UTF-8 with or without a byte-order mark.
+
+    A file that does not decode, or that `parse` rejects, is a ValueError naming `path`.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_value(hint, value, key: str):
+    """`value` read as type `hint` for read_config; errors name `key`."""
+    if type(None) in typing.get_args(hint):  # Optional[X]: X
+        hint = next(t for t in typing.get_args(hint) if t is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return read_config(hint, value, key)
+    if hint is int:
+        return as_integer(value, key)
+    if hint is float:
+        return as_number(value, key)
+    if hint is str and not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    if hint is tuple or typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        item = (typing.get_args(hint) or (typing.Any,))[0]  # tuple[X, ...]; a bare tuple keeps its items
+        return tuple(_read_value(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    return value
 
 
 def read_config(cls, spec, path: str = ""):
@@ -75,8 +103,9 @@ def read_config(cls, spec, path: str = ""):
     An absent key, or null where the field defaults to None, takes the
     default; any other null is an error.  int and float fields go through
     as_integer and as_number, str fields must be strings, tuple fields
-    lists, and config-class fields are read the same way.  Other keys are
-    ignored.  Errors name the key's path; range checks are cls's own.
+    lists (a tuple[X, ...] field reads each item as X), and config-class
+    fields are read the same way.  Other keys are ignored.  Errors name the
+    key's path; range checks are cls's own.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"{path or 'config'} must be a JSON object, got {spec!r}")
@@ -89,23 +118,8 @@ def read_config(cls, spec, path: str = ""):
                 raise ValueError(f"{key} is required")
             continue
         value = spec[field.name]
-        if value is None and field.default is None:
-            continue
-        hint = hints[field.name]
-        kind = next((t for t in typing.get_args(hint) if t is not type(None)), hint)  # Optional[X]: X
-        if dataclasses.is_dataclass(kind):
-            value = read_config(kind, value, key)
-        elif kind is int:
-            value = as_integer(value, key)
-        elif kind is float:
-            value = as_number(value, key)
-        elif kind is str and not isinstance(value, str):
-            raise ValueError(f"{key} must be a string, got {value!r}")
-        elif kind is tuple:
-            if not isinstance(value, list):
-                raise ValueError(f"{key} must be a list, got {value!r}")
-            value = tuple(value)
-        given[field.name] = value
+        if value is not None or field.default is not None:
+            given[field.name] = _read_value(hints[field.name], value, key)
     return cls(**given)
 
 

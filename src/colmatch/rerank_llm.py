@@ -166,24 +166,34 @@ class HttpLlmClient:
         return content
 
 
+def _exchange(line: str):
+    """(prompt, response) of a transcript line holding {"prompt": str, "response": str}, else a ValueError."""
+    record = json.loads(line)
+    if not (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in ("prompt", "response"))):
+        raise ValueError('a transcript line must hold {"prompt": string, "response": string}')
+    return record["prompt"], record["response"]
+
+
 class ReplayLlmClient:
     """Replays recorded responses from a JSONL transcript.
 
-    Each line is {"prompt": .., "response": ..}; repeated prompts are served
-    in recording order, re-serving the last response when exhausted.  A last
-    line torn by a crashed recording is ignored.  An unknown prompt raises
-    LlmTransportError, which upstream treats like any failed attempt.
+    Each line is {"prompt": .., "response": ..}, both strings; repeated
+    prompts are served in recording order, re-serving the last response
+    when exhausted.  A last line torn by a crashed recording is ignored; any
+    other bad line is a ValueError naming the path and line.  An unknown
+    prompt raises LlmTransportError, which upstream treats like any failed
+    attempt.
     """
 
     def __init__(self, path) -> None:
         self._responses = {}
         self._cursor = {}
         self._lock = threading.Lock()
-        store = LineStore(path, json.loads)
+        store = LineStore(path, _exchange)
         if not store.path.is_file():
             raise FileNotFoundError(f"replay transcript not found: {path}")
-        for record in store.read():
-            self._responses.setdefault(record["prompt"], []).append(record["response"])
+        for prompt, response in store.read():
+            self._responses.setdefault(prompt, []).append(response)
 
     def complete(self, prompt: str) -> str:
         with self._lock:
@@ -204,7 +214,7 @@ class RecordingLlmClient:
 
     def __init__(self, inner, path) -> None:
         self.inner = inner
-        self._store = LineStore(path, json.loads)
+        self._store = LineStore(path, _exchange)
         self._store.read()
         self._lock = threading.Lock()
 

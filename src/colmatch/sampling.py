@@ -44,6 +44,12 @@ def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
     return h
 
 
+def child_rng(seed: int, *parts) -> random.Random:
+    """The RNG seeded by fnv1a64 of "seed/part1:part2:...": one stream per (seed, parts)."""
+    tag = ":".join(str(p) for p in parts)
+    return random.Random(fnv1a64(f"{seed}/{tag}".encode("utf-8")))
+
+
 def fnv1a64_many(rows, state: int = _FNV_OFFSET) -> np.ndarray:
     """fnv1a64(row, state) for each byte string in `rows`, as one uint64 array.
 

@@ -119,20 +119,12 @@ class GroundTruth:
     """Curated correspondences; a source may map to several targets."""
 
     pairs: frozenset
-    _targets: dict = field(init=False, compare=False, repr=False)  # source -> its targets
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", frozenset(self.pairs))
-        targets = {}
-        for src, dst in self.pairs:
-            targets.setdefault(src, set()).add(dst)
-        object.__setattr__(self, "_targets", targets)
 
     def sources(self) -> set:
-        return set(self._targets)
-
-    def targets_for(self, source: str) -> set:
-        return set(self._targets.get(source, ()))
+        return {src for src, _ in self.pairs}
 
 
 def _classify(counts: Counter) -> str:

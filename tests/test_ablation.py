@@ -311,6 +311,14 @@ class TestLoadGrid:
             load_grid(path)
         assert str(raised.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("spec", [[1, 2], "grid", None])
+    def test_grid_file_that_is_not_an_object_names_itself(self, tmp_path, spec):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            load_grid(path)
+        assert str(raised.value).startswith(f"{path}: must hold a JSON object")
+
     def test_llm_section_parsed(self, tmp_path):
         suite = make_suite(tmp_path)
         spec = {

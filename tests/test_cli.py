@@ -583,6 +583,13 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: ") and fault in err
 
+    @pytest.mark.parametrize("spec", [[1], "seed", 3])
+    def test_config_file_that_is_not_an_object_names_itself(self, tmp_path, pair, capsys, spec):
+        source, target, _ = pair
+        config = write_config(tmp_path / "cfg.json", spec)
+        assert main(["match", str(source), str(target), "--out", str(tmp_path / "m"), "--config", config]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: must hold a JSON object")
+
     @pytest.mark.parametrize("flag, value, sets", FLAG_SETS, ids=[case[0] for case in FLAG_SETS])
     def test_flag_sets_exactly_its_config_paths(self, tmp_path, pair, flag, value, sets):
         source, target, _ = pair
@@ -651,6 +658,51 @@ class TestAugmentFinetuneRoundTrip:
         )
         assert code == 1
         assert "at least 4 classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, keys, value, fault",
+        [
+            (1, ("members", 1, "values"), [1, 2], "line 2: members[1].values[0] must be a string, got 1"),
+            (1, ("class_id",), 1.9, "line 2: class_id must be an integer, got 1.9"),
+            (1, ("class_id",), True, "line 2: class_id must be an integer, got True"),
+            (2, ("class_id",), "1", "line 3: class_id 1 is taken by an earlier line"),
+            (0, ("members", 0, "origin"), "structural", "line 1: first member must be the anchor"),
+            (1, (), '{"class_id": 1, "members": [', "line 2: Expecting value"),
+        ],
+        ids=["numeric-values", "fractional-id", "boolean-id", "repeated-id", "no-anchor", "malformed"],
+    )
+    def test_finetune_on_a_bad_classes_line_names_the_file_and_line(
+        self, tmp_path, pair, capsys, line, keys, value, fault
+    ):
+        _, target, _ = pair
+        classes_path = tmp_path / "classes.jsonl"
+        main(["augment", str(target), "--no-llm", "--out", str(classes_path)])
+        records = [json.loads(text) for text in classes_path.read_text(encoding="utf-8").splitlines()]
+        texts = [json.dumps(record) for record in records]
+        if keys:
+            *sections, last = keys
+            functools.reduce(lambda spec, key: spec[key], sections, records[line])[last] = value
+            texts[line] = json.dumps(records[line])
+        else:
+            texts[line] = value
+        classes_path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["finetune", "--classes", str(classes_path), "--out", str(tmp_path / "head.bin")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {classes_path}: {fault}") and err.count("\n") == 1
+
+    def test_finetune_reads_a_classes_file_with_a_byte_order_mark(self, tmp_path, pair):
+        _, target, _ = pair
+        classes_path = tmp_path / "classes.jsonl"
+        main(["augment", str(target), "--no-llm", "--out", str(classes_path)])
+        marked = tmp_path / "marked.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + classes_path.read_bytes())
+        heads = []
+        for path in (classes_path, marked):
+            heads.append(tmp_path / f"{path.stem}.bin")
+            assert main(["finetune", "--classes", str(path), "--out", str(heads[-1]), "--epochs", "2"]) == 0
+        assert heads[0].read_bytes() == heads[1].read_bytes()
 
     def test_finetune_keeps_the_config_file_batch_size(self, tmp_path, pair):
         _, target, _ = pair

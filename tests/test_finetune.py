@@ -448,6 +448,12 @@ class TestTrain:
         # identity forever: score never moves, patience 5 cuts the run short
         assert history[-1]["epoch"] == 5
 
+    def test_repeated_class_id_rejected(self):
+        classes = synthetic_classes(5)
+        twin = TrainingClass(2, classes[3].members)
+        with pytest.raises(ValueError, match="class id 2 is given to more than one class"):
+            train(classes[:3] + [twin] + classes[4:], self.provider(16))
+
     def test_singleton_member_class_rejected(self):
         classes = synthetic_classes(5)
         lonely = TrainingClass(

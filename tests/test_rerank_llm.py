@@ -405,6 +405,35 @@ class TestReplayAndRecording:
         with pytest.raises(FileNotFoundError):
             ReplayLlmClient(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize(
+        "first, fault",
+        [
+            ('{"prompt": ["a"], "response": "A(0.90)"}', "must hold"),
+            ('{"response": "A(0.90)"}', "must hold"),
+            ('{"prompt": "a", "response": 1}', "must hold"),
+            ('["a", "A(0.90)"]', "must hold"),
+            ('{"prompt": "a",', "Expecting"),
+        ],
+        ids=["list-prompt", "no-prompt", "number-response", "not-an-object", "malformed"],
+    )
+    def test_bad_line_before_the_last_names_the_path_and_line(self, tmp_path, first, fault):
+        transcript = tmp_path / "t.jsonl"
+        intact = json.dumps({"prompt": "b", "response": "B(0.10)"})
+        transcript.write_text(f"{intact}\n{first}\n{intact}\n", encoding="utf-8")
+        for client in (ReplayLlmClient, lambda path: RecordingLlmClient(FakeClient([]), path)):
+            with pytest.raises(ValueError) as raised:
+                client(transcript)
+            assert str(raised.value).startswith(f"{transcript}:2: ") and fault in str(raised.value)
+
+    def test_transcript_with_a_byte_order_mark_replays_its_one_line(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        line = json.dumps({"prompt": "a", "response": "A(0.90)"}) + "\n"
+        transcript.write_bytes(b"\xef\xbb\xbf" + line.encode("utf-8"))
+        assert ReplayLlmClient(transcript).complete("a") == "A(0.90)"
+        RecordingLlmClient(FakeClient(["B(0.10)"]), transcript).complete("b")
+        replay = ReplayLlmClient(transcript)
+        assert (replay.complete("a"), replay.complete("b")) == ("A(0.90)", "B(0.10)")
+
 
 class TestAskEach:
     def test_answers_come_in_prompt_order_when_the_client_answers_out_of_order(self):

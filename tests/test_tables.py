@@ -182,7 +182,6 @@ class TestGroundTruth:
         )
         gt = load_ground_truth(f)
         assert gt.pairs == {("A", "x"), ("A", "y")}
-        assert gt.targets_for("A") == {"x", "y"}
         assert gt.sources() == {"A"}
 
     def test_empty_target_cell_rejected(self, tmp_path):
