@@ -68,6 +68,8 @@ class ExperimentGrid:
             raise ValueError("at least one seed required")
         for cell in self.cells():
             _cell_config(cell, self.seeds[0], self)
+        if "llm" in self.rerankers and self.llm is None:  # a grid runs without a client
+            raise ValueError("llm endpoint required")
 
     def cells(self) -> list:
         """Axis product in declaration order; one dict per cell."""
@@ -127,6 +129,29 @@ def _cell_config(cell: dict, seed: int, grid: ExperimentGrid) -> PipelineConfig:
         llm=grid.llm,
         seed=seed,
     )
+
+
+def _record(line: str) -> dict:
+    """The run record a records.jsonl line holds, else a ValueError.
+
+    It holds a string "cell", integer "pair", "repetition" and "seed", and
+    then a string "error" or numeric "mrr", "recall_at_gt" and "runtime_seconds".
+    """
+    record = json.loads(line)
+    if not (
+        isinstance(record, dict)
+        and isinstance(record.get("cell"), str)
+        and all(type(record.get(k)) is int for k in ("pair", "repetition", "seed"))
+        and (
+            isinstance(record["error"], str) if "error" in record
+            else all(type(record.get(k)) in (int, float) for k in ("mrr", "recall_at_gt", "runtime_seconds"))
+        )
+    ):
+        raise ValueError(
+            'a record must hold "cell" (string), "pair", "repetition" and "seed" (integers), '
+            'then "error" (string) or numeric "mrr", "recall_at_gt" and "runtime_seconds"'
+        )
+    return record
 
 
 def _run_pair(grid: ExperimentGrid, pair_index: int, runs, records: LineStore) -> None:
@@ -256,7 +281,7 @@ def run_grid(grid: ExperimentGrid, out_dir) -> list:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = LineStore(out_dir / RECORDS_NAME, json.loads)
+    records = LineStore(out_dir / RECORDS_NAME, _record)
     done = {(r["cell"], r["pair"], r["repetition"]) for r in records.read()}
     cells = [(cell, "|".join(_cell_labels(cell))) for cell in grid.cells()]
 

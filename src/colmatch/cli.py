@@ -155,22 +155,19 @@ def resolve_config(args) -> PipelineConfig:
     if preset and PRESETS[preset][1] and spec.get("projection_path") is None:
         raise ValueError(f"preset {preset} requires --projection")
 
-    llm = spec.get("llm")
-    if llm is None or isinstance(llm, dict) and "endpoint" not in llm:
-        if spec.get("reranker") == "llm" and getattr(args, "replay", None):
-            # transport is never used, the client is
-            spec["llm"] = {**(llm or {}), "endpoint": "replay://local"}
-        else:
-            spec.pop("llm", None)  # no endpoint, no LLM: its model and temperature go unused
+    if isinstance(spec.get("llm"), dict) and "endpoint" not in spec["llm"]:
+        del spec["llm"]  # no endpoint, no LLM: its model and temperature go unused
     return PipelineConfig.from_dict(spec)
 
 
-def _llm_client(args, llm):
-    """Replay when --replay is given, else HTTP on the resolved config; --record wraps either."""
+def _llm_client(args, config: PipelineConfig):
+    """Replay for --replay, else HTTP on config.llm, --record wrapping either; the llm reranker needs one."""
     if args.replay:
         client = ReplayLlmClient(args.replay)
-    elif llm is not None:
-        client = HttpLlmClient(llm)
+    elif config.llm is not None:
+        client = HttpLlmClient(config.llm)
+    elif config.reranker == "llm":
+        raise ValueError("llm endpoint required")
     else:
         return None
     return RecordingLlmClient(client, args.record) if args.record else client
@@ -178,9 +175,10 @@ def _llm_client(args, llm):
 
 def cmd_match(args) -> int:
     config = resolve_config(args)
+    client = _llm_client(args, config)  # before any table is read: a missing endpoint fails fast
     source = load_table(args.source)
     target = load_table(args.target)
-    matches = run_pipeline(source, target, config, llm_client=_llm_client(args, config.llm))
+    matches = run_pipeline(source, target, config, llm_client=client)
     json_path = Path(f"{args.out}.json")
     csv_path = Path(f"{args.out}.csv")
     write_match_json(matches, json_path)
@@ -191,10 +189,11 @@ def cmd_match(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = resolve_config(args)
+    client = _llm_client(args, config)
     source = load_table(args.source)
     target = load_table(args.target)
     gt = load_ground_truth(args.ground_truth)
-    report = evaluate(source, target, gt, config, llm_client=_llm_client(args, config.llm))
+    report = evaluate(source, target, gt, config, llm_client=client)
     print(report.as_text())
     if args.report:
         write_report(report, args.report)
@@ -205,7 +204,7 @@ def cmd_evaluate(args) -> int:
 def cmd_augment(args) -> int:
     config = resolve_config(args)
     target = load_table(args.target)
-    client = None if args.no_llm else _llm_client(args, config.llm)
+    client = None if args.no_llm else _llm_client(args, config)
     max_concurrent = DEFAULT_MAX_CONCURRENT if config.llm is None else config.llm.max_concurrent
     n_semantic = 0 if args.no_llm else DEFAULT_N_SEMANTIC
     classes = build_classes(

@@ -114,8 +114,8 @@ class VectorCache:
 
     Values are stored as little-endian float32, so a cache miss returns the
     float32-rounded vector too; cold and warm runs then agree bit for bit.
-    A last line torn by a crash mid-write (no newline, or not decodable) is
-    ignored, and cut off before the next entry is appended.
+    Bytes after the last newline, torn by a crash mid-write, are ignored and
+    cut off before the next entry is appended; a complete bad line raises.
     """
 
     def __init__(self, path) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from .linestore import replace_atomically
 from .metrics import mrr, recall_at_gt
 from .retrieval import rank_rows
-from .sampling import child_rng
+from .sampling import child_rng, draw
 from .serialization import SerializationConfig, serialize
 from .tables import Column, GroundTruth
 
@@ -220,13 +220,8 @@ def _validation_score(unit: np.ndarray, labels: Sequence[int]) -> float:
     return 0.5 * (mrr(matches, gt) + recall_at_gt(matches, gt))
 
 
-def _draw(pool: list, rng: random.Random, count: int) -> list:
-    """Pop `count` entries from `pool` at seeded random positions, in draw order."""
-    return [pool.pop(rng.randrange(len(pool))) for _ in range(count)]
-
-
 def _split_classes(class_ids: Sequence[int], rng: random.Random):
-    shuffled = _draw(list(class_ids), rng, len(class_ids))
+    shuffled = draw(list(class_ids), rng, len(class_ids))
     n_val = int(round(VAL_FRACTION * len(shuffled)))
     n_val = max(2, min(n_val, len(shuffled) - 2))
     return sorted(shuffled[n_val:]), sorted(shuffled[:n_val])
@@ -234,7 +229,7 @@ def _split_classes(class_ids: Sequence[int], rng: random.Random):
 
 def _make_batches(train_ids, members_by_class, rng):
     """Chunk shuffled class ids into (BATCH_P, BATCH_K) batches of member indices."""
-    shuffled = _draw(list(train_ids), rng, len(train_ids))
+    shuffled = draw(list(train_ids), rng, len(train_ids))
     batches = []
     for start in range(0, len(shuffled), BATCH_P):
         chunk = shuffled[start : start + BATCH_P]
@@ -244,7 +239,7 @@ def _make_batches(train_ids, members_by_class, rng):
         for cid in chunk:
             members = members_by_class[cid]
             if len(members) >= BATCH_K:
-                picked = _draw(list(members), rng, BATCH_K)
+                picked = draw(list(members), rng, BATCH_K)
             else:
                 picked = [members[rng.randrange(len(members))] for _ in range(BATCH_K)]
             rows.extend(picked)

@@ -1,11 +1,11 @@
 """Files that survive a crash mid-write.
 
-A LineStore appends one record per line.  A crash mid-append leaves a last
-line without its newline, or one that does not parse: such a line is
-ignored on read and cut off before the next append; a bad line anywhere
-earlier still raises, naming the path and the line.  A leading UTF-8
-byte-order mark is dropped.  replace_atomically writes a file whole or not
-at all.
+A LineStore appends one record per line, the line and its newline in one
+write.  A crash mid-append can leave bytes after the last newline, but no
+complete line that is wrong: those bytes are ignored on read and cut off
+before the next append, and a complete line that does not parse raises,
+naming the path and the line, wherever it is.  A leading UTF-8 byte-order
+mark is dropped.  replace_atomically writes a file whole or not at all.
 """
 
 from __future__ import annotations
@@ -36,27 +36,23 @@ class LineStore:
     def __init__(self, path, parse: Callable[[str], object]) -> None:
         self.path = Path(path)
         self._parse = parse
-        self._torn = None  # (offset of an ignored torn last line, file size when read)
+        self._torn = None  # (offset of the ignored bytes after the last newline, file size when read)
 
     def read(self) -> list:
-        """Parse every complete line; blank lines are skipped."""
+        """Parse every complete line, each without its newline; blank lines are skipped."""
         self._torn = None
         if not self.path.exists():
             return []
         data = self.path.read_bytes()
         end = data.rfind(b"\n") + 1  # bytes after the last newline are a torn write
         start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-        lines = data[start:end].splitlines(keepends=True)
         records = []
-        for i, line in enumerate(lines):
+        for i, line in enumerate(data[start:end].splitlines()):
             if not line.strip():
                 continue
             try:
                 records.append(self._parse(line.decode("utf-8")))
             except ValueError as exc:  # JSONDecodeError, binascii.Error, UnicodeDecodeError
-                if i == len(lines) - 1:
-                    end -= len(line)
-                    continue
                 if isinstance(exc, UnicodeDecodeError):  # its text comes from its fields, not its args
                     exc = ValueError(f"not valid UTF-8 ({exc.reason})")
                 exc.args = (f"{self.path}:{i + 1}: {exc}",)  # the place prepended, the type kept

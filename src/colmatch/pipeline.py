@@ -148,8 +148,6 @@ class PipelineConfig:
             raise ValueError("llm_top_k must be >= 1")
         if self.reranker not in RERANKERS:
             raise ValueError(f"reranker must be one of {RERANKERS}")
-        if self.reranker == "llm" and self.llm is None:
-            raise ValueError("llm endpoint required")
 
     def as_dict(self) -> dict:
         """Every setting but UNECHOED's, nested as the config classes nest them."""

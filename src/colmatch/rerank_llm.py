@@ -179,10 +179,10 @@ class ReplayLlmClient:
 
     Each line is {"prompt": .., "response": ..}, both strings; repeated
     prompts are served in recording order, re-serving the last response
-    when exhausted.  A last line torn by a crashed recording is ignored; any
-    other bad line is a ValueError naming the path and line.  An unknown
-    prompt raises LlmTransportError, which upstream treats like any failed
-    attempt.
+    when exhausted.  Bytes after the last newline, torn by a crashed
+    recording, are ignored; a complete bad line is a ValueError naming the
+    path and line.  An unknown prompt raises LlmTransportError, which
+    upstream treats like any failed attempt.
     """
 
     def __init__(self, path) -> None:
@@ -208,8 +208,8 @@ class ReplayLlmClient:
 class RecordingLlmClient:
     """Wraps a client and appends successful exchanges to a JSONL transcript.
 
-    A last line torn by an earlier crashed recording is cut off before the
-    first new exchange is appended, so it cannot merge with it.
+    Bytes after the last newline, torn by a crashed recording, are cut off
+    before the first new exchange is appended; a complete bad line raises.
     """
 
     def __init__(self, inner, path) -> None:

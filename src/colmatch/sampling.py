@@ -50,6 +50,11 @@ def child_rng(seed: int, *parts) -> random.Random:
     return random.Random(fnv1a64(f"{seed}/{tag}".encode("utf-8")))
 
 
+def draw(pool: list, rng: random.Random, count: int) -> list:
+    """Pop up to `count` entries from `pool` at seeded random positions, in draw order."""
+    return [pool.pop(rng.randrange(len(pool))) for _ in range(min(count, len(pool)))]
+
+
 def fnv1a64_many(rows, state: int = _FNV_OFFSET) -> np.ndarray:
     """fnv1a64(row, state) for each byte string in `rows`, as one uint64 array.
 
@@ -144,28 +149,26 @@ def sample_values(column: Column, config: SamplerConfig, units: Optional[dict] =
         key = lambda v: (-1.0 / units[v], v)
     elif config.strategy == "frequency":
         key = lambda v: (-float(freq[v]), v)
+    elif config.strategy == "random":
+        return draw(sorted(freq), random.Random(config.seed), config.sample_size)
     else:
-        return _draw(sorted(freq), freq, config)
+        return _draw_weighted(sorted(freq), freq, config)
     return heapq.nsmallest(config.sample_size, freq, key=key)
 
 
-def _draw(values: list, freq: Counter, config: SamplerConfig) -> list:
-    """Seeded without-replacement draws in selection order."""
+def _draw_weighted(pool: list, freq: Counter, config: SamplerConfig) -> list:
+    """Pop up to config.sample_size values from `pool`, each in proportion to its count, in draw order."""
     rng = random.Random(config.seed)
-    pool = list(values)
     picked = []
     while pool and len(picked) < config.sample_size:
-        if config.strategy == "weighted":
-            total = sum(freq[v] for v in pool)
-            r = rng.random() * total
-            acc = 0.0
-            idx = len(pool) - 1
-            for i, v in enumerate(pool):
-                acc += freq[v]
-                if r < acc:
-                    idx = i
-                    break
-        else:
-            idx = rng.randrange(len(pool))
+        total = sum(freq[v] for v in pool)
+        r = rng.random() * total
+        acc = 0.0
+        idx = len(pool) - 1
+        for i, v in enumerate(pool):
+            acc += freq[v]
+            if r < acc:
+                idx = i
+                break
         picked.append(pool.pop(idx))
     return picked

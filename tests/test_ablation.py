@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+from types import SimpleNamespace
 import statistics
 from collections import Counter
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import colmatch.ablation as ablation
+import colmatch.metrics as metrics
 import colmatch.pipeline as pipeline
 import colmatch.retrieval as retrieval
 from colmatch.ablation import (
@@ -186,6 +188,45 @@ class TestRunGrid:
             json.loads(line)["cell"] for line in records
         ]
         assert (torn / "results.csv").read_bytes() == reference
+
+    def test_resume_after_a_last_record_torn_at_any_byte(self, tmp_path, monkeypatch):
+        # every runtime_seconds reads 0.0, so a re-run record repeats byte for byte
+        monkeypatch.setattr(metrics, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        grid = small_grid(tmp_path)
+        out = tmp_path / "out"
+        run_grid(grid, out)
+        intact, reference = (out / "records.jsonl").read_bytes(), (out / "results.csv").read_bytes()
+        last = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        for cut in range(last, len(intact)):
+            (resumed / "records.jsonl").write_bytes(intact[:cut])
+            run_grid(grid, resumed)
+            assert (resumed / "records.jsonl").read_bytes() == intact
+            assert (resumed / "results.csv").read_bytes() == reference
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1]",
+            '{"c": 1}',
+            '{"cell": 1, "pair": 0, "repetition": 0, "seed": 0, "error": "E"}',
+            '{"cell": "x", "pair": true, "repetition": 0, "seed": 0, "error": "E"}',
+            '{"cell": "x", "pair": 0, "repetition": 0.0, "seed": 0, "error": "E"}',
+            '{"cell": "x", "pair": 0, "repetition": 0, "error": "E"}',
+            '{"cell": "x", "pair": 0, "repetition": 0, "seed": 0}',
+            '{"cell": "x", "pair": 0, "repetition": 0, "seed": 0, "mrr": "1", "recall_at_gt": 1, "runtime_seconds": 0}',
+            '{"cell": "x", "pair": 0, "repetition": 0, "seed": 0, "error": null, "mrr": 1, "recall_at_gt": 1, "runtime_seconds": 0}',
+        ],
+    )
+    def test_record_of_the_wrong_shape_names_the_file_and_line(self, tmp_path, line):
+        out = tmp_path / "out"
+        out.mkdir()
+        good = '{"cell": "x", "pair": 0, "repetition": 0, "seed": 0, "error": "E"}\n'
+        (out / "records.jsonl").write_text(good + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"records.jsonl:2: a record must hold"):
+            run_grid(small_grid(tmp_path), out)
+        assert (out / "records.jsonl").read_text(encoding="utf-8") == good + line + "\n"
 
     def test_bad_earlier_record_still_raises(self, tmp_path):
         grid = small_grid(tmp_path)

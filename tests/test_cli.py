@@ -411,6 +411,27 @@ class TestEvaluate:
         assert blocks[0]["sampling"] == {"strategy": "coordinated", "sample_size": 4, "seed": 3}
         assert blocks[1] == blocks[0]
 
+    def test_replay_report_config_configures_no_llm_and_reads_back(self, tmp_path, pair, capsys):
+        source, target, gt = pair
+        transcript = tmp_path / "t.jsonl"
+        tables = (load_table(source), load_table(target))
+        run_pipeline(*tables, PipelineConfig(reranker="llm"), RecordingLlmClient(ScriptedLlmClient(), transcript))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        replay = ["--replay", str(transcript)]
+        argv = ["evaluate", str(source), str(target), str(gt)]
+        assert main([*argv, "--reranker", "llm", *replay, "--report", str(first)]) == 0
+        block = json.loads(first.read_text(encoding="utf-8"))["config"]
+        assert block["reranker"] == "llm" and block["llm"] is None
+        config = write_config(tmp_path / "cfg.json", block)
+        assert main([*argv, "--config", config, *replay, "--report", str(second)]) == 0
+        reports = [json.loads(path.read_text(encoding="utf-8")) for path in (first, second)]
+        assert reports[1]["config"] == block and reports[1]["mrr"] == reports[0]["mrr"] == 1.0
+        capsys.readouterr()
+        absent = str(tmp_path / "absent.csv")  # the client is built before any table is read
+        for command in (["match", absent, absent], ["evaluate", absent, absent, absent]):
+            assert main([*command, "--config", config]) == 1
+            assert capsys.readouterr().err == "error: llm endpoint required\n"
+
 
 class TestConfigResolution:
     def args_for(self, argv):
@@ -913,6 +934,61 @@ class TestAblateCommand:
             main(["ablate", "--grid", "g.json", "--out", str(tmp_path), "--config", "c.json"])
         assert exc.value.code == 2
         assert "--config" in capsys.readouterr().err
+
+
+class TestAppendOnlyFiles:
+    """A complete line that does not parse is an error naming its file and line; only the bytes
+    after the last newline count as torn."""
+
+    @staticmethod
+    def _fails_on(path, argv, capsys, line) -> str:
+        """The one error line of a run of argv that exits 1 on line `line` of `path`, left unchanged."""
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:{line}: ")
+        assert path.read_bytes() == before
+        return err
+
+    @pytest.mark.parametrize("entries", [False, True], ids=["only-line", "after-entries"])
+    def test_vector_cache_with_a_wrong_last_line(self, tmp_path, pair, capsys, entries):
+        source, target, _ = pair
+        cache = tmp_path / "vectors.cache"
+        config = write_config(tmp_path / "cfg.json", {"provider": {"cache_path": str(cache)}})
+        argv = ["match", str(source), str(target), "--config", config, "--out", str(tmp_path / "m")]
+        if entries:
+            assert main(argv) == 0
+        kept = cache.read_bytes() if entries else b""
+        cache.write_bytes(kept + b"zz  abc\n")
+        err = self._fails_on(cache, argv, capsys, kept.count(b"\n") + 1)
+        assert err.endswith(": Incorrect padding\n")
+
+    def test_transcript_whose_only_line_is_of_the_wrong_shape(self, tmp_path, pair, capsys):
+        source, target, _ = pair
+        transcript, out = tmp_path / "t.jsonl", tmp_path / "m"
+        transcript.write_text('{"prompt": ["x"], "response": "y"}\n', encoding="utf-8")
+        argv = ["match", str(source), str(target), "--reranker", "llm", "--out", str(out)]
+        err = self._fails_on(transcript, [*argv, "--replay", str(transcript)], capsys, 1)
+        assert "a transcript line must hold" in err
+        with JsonStubServer(chat_handler) as server:
+            self._fails_on(transcript, [*argv, "--llm-endpoint", server.url, "--record", str(transcript)], capsys, 1)
+            assert server.requests == []
+        assert not out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize(
+        "last",
+        ['{"c": 1}', '{"cell": "x", "pair": 0, "repetition": 0, "seed": 0}', '{"cell": "x", "pair": 0,'],
+        ids=["no-cell", "no-scores", "malformed"],
+    )
+    def test_grid_with_a_wrong_last_record(self, tmp_path, pair, capsys, last):
+        out_dir = tmp_path / "results"
+        argv = ["ablate", "--grid", TestAblateCommand._grid(tmp_path, pair), "--out", str(out_dir)]
+        assert main(argv) == 0
+        records = out_dir / "records.jsonl"
+        kept = records.read_bytes()
+        records.write_bytes(kept + last.encode("utf-8") + b"\n")
+        self._fails_on(records, argv, capsys, kept.count(b"\n") + 1)
 
 
 class TestReadmeExamples:

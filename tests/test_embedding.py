@@ -148,6 +148,18 @@ class TestHashProvider:
             assert a.tobytes() == b.tobytes()
         assert cache.read_bytes() == intact
 
+    def test_last_line_torn_at_any_byte_is_cut_and_rewritten(self, tmp_path):
+        cache = tmp_path / "vectors.cache"
+        cfg = EmbeddingProviderConfig(dimension=16, cache_path=str(cache))
+        texts = ["alpha", "beta", "gamma"]
+        whole = [v.tobytes() for v in embed_batch(texts, cfg)]
+        intact = cache.read_bytes()
+        last = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        for cut in range(last, len(intact)):
+            cache.write_bytes(intact[:cut])
+            assert [v.tobytes() for v in embed_batch(texts, cfg)] == whole
+            assert cache.read_bytes() == intact
+
     def test_two_readers_of_a_torn_cache_keep_each_others_entries(self, tmp_path):
         cache = tmp_path / "vectors.cache"
         cfg = EmbeddingProviderConfig(dimension=16, cache_path=str(cache))
@@ -160,19 +172,16 @@ class TestHashProvider:
         for key in ("k1", "k2", VectorCache.key(cfg.provider_id(), "alpha")):
             assert reloaded.get(key) is not None
 
-    def test_undecodable_last_line_ignored_but_not_an_earlier_one(self, tmp_path):
+    def test_undecodable_line_raises_whether_last_or_earlier(self, tmp_path):
         cache = tmp_path / "vectors.cache"
         cfg = EmbeddingProviderConfig(dimension=16, cache_path=str(cache))
         embed_batch(["alpha"], cfg)
         intact = cache.read_bytes()
-        cache.write_bytes(intact + b"0f  abc\n")
-        embed_batch(["beta"], cfg)
-        lines = cache.read_bytes().splitlines(keepends=True)
-        assert len(lines) == 2 and lines[0] == intact
-
-        cache.write_bytes(b"0f  abc\n" + intact)
-        with pytest.raises(ValueError):
-            VectorCache(cache)
+        for damaged, line in ((intact + b"0f  abc\n", 2), (b"0f  abc\n" + intact, 1)):
+            cache.write_bytes(damaged)
+            with pytest.raises(ValueError, match=f"vectors.cache:{line}: Incorrect padding"):
+                embed_batch(["beta"], cfg)
+            assert cache.read_bytes() == damaged
 
     def test_cache_distinguishes_providers(self, tmp_path):
         cache = tmp_path / "vectors.cache"

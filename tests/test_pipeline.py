@@ -11,7 +11,7 @@ import colmatch.sampling as sampling
 from colmatch.embedding import PROVIDER_KINDS, EmbeddingProviderConfig, get_provider
 from colmatch.finetune import ProjectionHead, save_head
 from colmatch.pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
-from colmatch.rerank_llm import LlmConfig, column_line
+from colmatch.rerank_llm import LlmConfig, RecordingLlmClient, ReplayLlmClient, column_line
 from colmatch.sampling import STRATEGIES, SamplerConfig
 from colmatch.serialization import FORMATS, SerializationConfig, serialize
 from colmatch.tables import Column, Table, load_table
@@ -47,8 +47,9 @@ class TestConfig:
         assert config.sampling == sampler
 
     def test_llm_reranker_requires_llm_config(self):
+        config = PipelineConfig(reranker="llm")  # an injected client needs no endpoint
         with pytest.raises(ValueError, match="llm endpoint required"):
-            PipelineConfig(reranker="llm")
+            run_pipeline(*identity_tables(), config)
 
     def test_unknown_reranker_rejected(self):
         with pytest.raises(ValueError):
@@ -202,11 +203,32 @@ class TestFromDict:
     def test_value_checks_stay_with_the_config_classes(self):
         with pytest.raises(ValueError, match="dimension must be >= 2"):
             PipelineConfig.from_dict({"provider": {"dimension": 1}})
-        with pytest.raises(ValueError, match="llm endpoint required"):
-            PipelineConfig.from_dict({"reranker": "llm"})
 
 
 class TestRunPipeline:
+    def test_recording_resumed_after_a_last_exchange_torn_at_any_byte(self, tmp_path):
+        tables = identity_tables(2)
+        config = PipelineConfig(
+            reranker="llm", llm=LlmConfig(endpoint="http://unused.invalid/v1", max_concurrent=1)
+        )
+        provider = get_provider(config.provider)
+        profiles = tuple(
+            retrieval.profile_table(t, config.sampling, config.serialization, provider) for t in tables
+        )
+        transcript = tmp_path / "t.jsonl"
+
+        def run(client):
+            return run_pipeline(*tables, config, llm_client=client, profiles=profiles)
+
+        live = run(RecordingLlmClient(ScriptedLlmClient(), transcript))
+        intact = transcript.read_bytes()
+        last = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        for cut in range(last, len(intact)):
+            transcript.write_bytes(intact[:cut])
+            assert run(RecordingLlmClient(ScriptedLlmClient(), transcript)) == live
+            assert transcript.read_bytes() == intact[:last] + intact  # torn tail cut, every exchange appended
+            assert run(ReplayLlmClient(transcript)) == live
+
     def test_identity_tables_all_pinned_at_rank_one(self):
         source, target = identity_tables()
         matches = run_pipeline(source, target, PipelineConfig())

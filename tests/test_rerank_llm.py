@@ -425,6 +425,32 @@ class TestReplayAndRecording:
                 client(transcript)
             assert str(raised.value).startswith(f"{transcript}:2: ") and fault in str(raised.value)
 
+    @pytest.mark.parametrize(
+        "last, fault",
+        [
+            ('{"prompt": ["a"], "response": "A(0.90)"}', "must hold"),
+            ('{"prompt": "a", "response": 1}', "must hold"),
+            ('{"prompt": "a",', "Expecting"),
+        ],
+        ids=["list-prompt", "number-response", "malformed"],
+    )
+    def test_bad_last_line_names_the_path_and_line(self, tmp_path, last, fault):
+        transcript = tmp_path / "t.jsonl"
+        content = json.dumps({"prompt": "b", "response": "B(0.10)"}) + f"\n{last}\n"
+        transcript.write_text(content, encoding="utf-8")
+        for client in (ReplayLlmClient, lambda path: RecordingLlmClient(FakeClient([]), path)):
+            with pytest.raises(ValueError) as raised:
+                client(transcript)
+            assert str(raised.value).startswith(f"{transcript}:2: ") and fault in str(raised.value)
+        assert transcript.read_text(encoding="utf-8") == content
+
+    def test_json_error_position_falls_within_the_line_it_names(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        intact = json.dumps({"prompt": "b", "response": "B(0.10)"})
+        transcript.write_text(f'{{"prompt": "a",\n{intact}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"t\.jsonl:1: .*: line 1 column 16 \(char 15\)$"):
+            ReplayLlmClient(transcript)
+
     def test_transcript_with_a_byte_order_mark_replays_its_one_line(self, tmp_path):
         transcript = tmp_path / "t.jsonl"
         line = json.dumps({"prompt": "a", "response": "A(0.90)"}) + "\n"

@@ -170,7 +170,7 @@ class TestGroundTruth:
         f.write_text("source_column,target_column\nAge,age_at_index\n", encoding="utf-8")
         gt = load_ground_truth(f)
         assert gt.pairs == {("Age", "age_at_index")}
-        # the source -> targets map it keeps is left out of equality, hash and repr
+        # equality, hash and repr are those of the pair set alone
         assert gt == GroundTruth({("Age", "age_at_index")})
         assert hash(gt) == hash(GroundTruth({("Age", "age_at_index")}))
         assert repr(gt) == "GroundTruth(pairs=frozenset({('Age', 'age_at_index')}))"
