@@ -119,7 +119,7 @@ def structural_variants(column: Column, count: int, seed: int) -> list:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    base_values = list(dict.fromkeys(column.non_missing()))
+    base_values = list(column.distinct)
     anchor = (column.name, tuple(base_values))
     out = []
     for i in range(count):

@@ -12,7 +12,6 @@ import base64
 import hashlib
 import threading
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -59,6 +58,9 @@ class EmbeddingProviderConfig:
 
 # the sign draw is FNV-1a over b"\xa5" + trigram, continued from this state
 _SIGN_STATE = fnv1a64(b"\xa5")
+# a trigram key packs its three code points (each below 2**21) high to low
+_POINT = np.uint64((1 << 21) - 1)
+_SHIFT1, _SHIFT2 = np.uint64(21), np.uint64(42)
 
 
 def normalized(vec: np.ndarray) -> np.ndarray:
@@ -85,28 +87,38 @@ def hash_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
 
 
 def _hash_embed_all(texts: Sequence[str], dimension: int) -> list:
-    """hash_embed of each text; every distinct trigram is hashed once, in one batch."""
-    ids = defaultdict()
-    ids.default_factory = ids.__len__  # a trigram's id is its first-seen position
-    grams, counts = [], []
-    for text in texts:
-        t = text.lower()
-        if len(t) < 3:
-            t = "\x01" + t + "\x02"
-        n = len(t) - 2
-        grams.extend(map(ids.__getitem__, [t[i : i + 3] for i in range(n)]))
-        counts.append(n)
-    raw = [gram.encode("utf-8") for gram in ids]
+    """hash_embed of each text, from one array of trigram keys.
+
+    The lowercased, padded texts are joined into one array of code points,
+    and each trigram inside a text packs into one 63-bit key (21 bits per
+    code point).  Each distinct key is unpacked to its three characters and
+    hashed once, through their UTF-8, in one batch.
+    """
+    padded = [t if len(t) >= 3 else "\x01" + t + "\x02" for t in map(str.lower, texts)]
+    lengths = np.fromiter(map(len, padded), dtype=np.intp, count=len(padded))
+    points = np.frombuffer("".join(padded).encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+    keys = points[:-2] << _SHIFT2 | points[1:-1] << _SHIFT1 | points[2:]
+    # a trigram starts at every position but the last two of each text
+    inside = np.ones(len(points), dtype=bool)
+    ends = np.cumsum(lengths)
+    inside[ends - 1] = inside[ends - 2] = False
+    distinct, grams = np.unique(keys[inside[:-2]], return_inverse=True)
+    unpacked = np.stack([distinct >> _SHIFT2, distinct >> _SHIFT1 & _POINT, distinct & _POINT], axis=1)
+    chars = unpacked.astype("<u4").tobytes().decode("utf-32-le")
+    raw = [chars[i : i + 3].encode("utf-8") for i in range(0, len(chars), 3)]
     # two independent draws: plain FNV-1a for the bucket, the reseeded one for the sign
     buckets = (fnv1a64_many(raw) % np.uint64(dimension)).astype(np.intp)
     signs = 1.0 - 2.0 * (fnv1a64_many(raw, _SIGN_STATE) & np.uint64(1)).astype(np.float64)
-    grams = np.array(grams, dtype=np.intp)
-    rows = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    rows = np.repeat(np.arange(len(padded), dtype=np.intp), lengths - 2)
     # sums of +/-1.0 are exact in any order, so this equals adding one trigram at a time
     acc = np.bincount(
-        rows * dimension + buckets[grams], weights=signs[grams], minlength=len(counts) * dimension
-    )
-    return [normalized(row) for row in acc.reshape(len(counts), dimension)]
+        rows * dimension + buckets[grams], weights=signs[grams], minlength=len(padded) * dimension
+    ).reshape(len(padded), dimension)
+    # integer counts: each squared norm is exact, so its root is the one normalized() takes
+    norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
+    zero = norms == 0.0
+    acc[zero, 0], norms[zero] = 1.0, 1.0  # an all-zero row becomes e_0
+    return list(acc / norms[:, None])
 
 
 class VectorCache:

@@ -134,9 +134,8 @@ def column_samples(table: Table, sampling: SamplerConfig) -> dict:
     pending, distinct = [], set()
     for i, col in enumerate(table.columns, start=1):
         pending.append(col)
-        distinct.update(col.values)
+        distinct.update(col.distinct)
         if len(distinct) >= HASH_BATCH or i == len(table.columns):
-            distinct.discard(None)
             units = hash_units(sampling.seed, distinct)
             for held in pending:
                 samples[held.name] = sample_values(held, sampling, units=units)

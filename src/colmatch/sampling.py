@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -131,32 +130,32 @@ def sample_values(column: Column, config: SamplerConfig, units: Optional[dict] =
     Ranked strategies (priority, coordinated, frequency) return values in
     descending rank order; weighted and random return them in selection
     order.  Rank ties break by ascending byte order of the value.  Each
-    distinct value is ranked (and hashed) once.  `units` may map every
-    distinct value to its hash_unit(config.seed, value), as hash_units
-    returns it; without it each value is hashed here.
+    distinct value is ranked (and hashed) once, from the counts the column
+    made when it was built.  `units` may map every distinct value to its
+    hash_unit(config.seed, value), as hash_units returns it; without it
+    each value is hashed here.
     """
-    freq = Counter(column.values)
-    freq.pop(None, None)
-    if not freq:
+    distinct, counts = column.distinct, column.counts
+    if not distinct:
         return []
     if config.strategy in HASHED_STRATEGIES and units is None:
-        units = {v: hash_unit(config.seed, v) for v in freq}
+        units = {v: hash_unit(config.seed, v) for v in distinct}
 
-    # str comparison is code point order, which is also UTF-8 byte order
     if config.strategy == "priority":
-        key = lambda v: (-freq[v] / units[v], v)
+        ranks = [-f / units[v] for v, f in zip(distinct, counts)]
     elif config.strategy == "coordinated":
-        key = lambda v: (-1.0 / units[v], v)
+        ranks = [-1.0 / units[v] for v in distinct]
     elif config.strategy == "frequency":
-        key = lambda v: (-float(freq[v]), v)
+        ranks = [-f for f in counts]
     elif config.strategy == "random":
-        return draw(sorted(freq), random.Random(config.seed), config.sample_size)
+        return draw(sorted(distinct), random.Random(config.seed), config.sample_size)
     else:
-        return _draw_weighted(sorted(freq), freq, config)
-    return heapq.nsmallest(config.sample_size, freq, key=key)
+        return _draw_weighted(sorted(distinct), dict(zip(distinct, counts)), config)
+    # (rank, value) tuples: str comparison is code point order, which is also UTF-8 byte order
+    return [v for _, v in heapq.nsmallest(config.sample_size, zip(ranks, distinct))]
 
 
-def _draw_weighted(pool: list, freq: Counter, config: SamplerConfig) -> list:
+def _draw_weighted(pool: list, freq: dict, config: SamplerConfig) -> list:
     """Pop up to config.sample_size values from `pool`, each in proportion to its count, in draw order."""
     rng = random.Random(config.seed)
     picked = []

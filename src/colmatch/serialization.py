@@ -2,7 +2,8 @@
 
 [CLS] and [SEP] are literal tokens with no surrounding whitespace, so the
 output is byte-reproducible.  Sample values containing "[SEP]" are rewritten
-to "(SEP)" to keep the encoding injective.
+to "(SEP)", so no sampled value adds a segment: each is exactly one.
+The rewrite is not injective, since "a[SEP]b" and "a(SEP)b" serialize alike.
 """
 
 from __future__ import annotations

@@ -257,6 +257,41 @@ def hash_embed_longhand(text, dimension):
     return acc / norm
 
 
+def hash_embed_all_per_text(texts, dimension):
+    """The batch hash embedder as it sliced each text's trigrams in a Python loop.
+
+    Every distinct trigram gets an id at its first sighting and is hashed
+    once by fnv1a64_many; np.bincount accumulates the signs and each row is
+    normalized on its own.
+    """
+    from collections import defaultdict
+
+    import numpy as np
+
+    from colmatch.embedding import _SIGN_STATE, normalized
+    from colmatch.sampling import fnv1a64_many
+
+    ids = defaultdict()
+    ids.default_factory = ids.__len__  # a trigram's id is its first-seen position
+    grams, counts = [], []
+    for text in texts:
+        t = text.lower()
+        if len(t) < 3:
+            t = "\x01" + t + "\x02"
+        n = len(t) - 2
+        grams.extend(map(ids.__getitem__, [t[i : i + 3] for i in range(n)]))
+        counts.append(n)
+    raw = [gram.encode("utf-8") for gram in ids]
+    buckets = (fnv1a64_many(raw) % np.uint64(dimension)).astype(np.intp)
+    signs = 1.0 - 2.0 * (fnv1a64_many(raw, _SIGN_STATE) & np.uint64(1)).astype(np.float64)
+    grams = np.array(grams, dtype=np.intp)
+    rows = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    acc = np.bincount(
+        rows * dimension + buckets[grams], weights=signs[grams], minlength=len(counts) * dimension
+    )
+    return [normalized(row) for row in acc.reshape(len(counts), dimension)]
+
+
 def hash_unit_longhand(seed, value):
     data = (seed % (1 << 64)).to_bytes(8, "little") + value.encode("utf-8")
     return ((fnv1a64_longhand(data) % (1 << 53)) + 1) / (1 << 53)

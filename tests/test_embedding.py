@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import colmatch.embedding as embedding
 from colmatch.embedding import (
@@ -108,6 +108,39 @@ class TestHashProvider:
         assert len(batch) == len(texts)
         for text, vec in zip(texts, batch):
             assert vec.tobytes() == oracles.hash_embed_longhand(text, 16).tobytes()
+
+    # texts 'bb', 'a\U0001f600' and 'cİé' sum to zero at dimension 7; at an even
+    # dimension a bucket's parity fixes its sign, so no row cancels there
+    @settings(max_examples=200)
+    @given(
+        texts=st.lists(
+            st.one_of(
+                st.text(max_size=2),
+                st.text(alphabet="abcé\x01\x02İ\U0001f600 中", max_size=8),
+                st.text(max_size=40),
+            ),
+            max_size=8,
+        ),
+        dimension=st.sampled_from([2, 7, 256]),
+    )
+    @example(texts=[], dimension=2)
+    @example(texts=[""], dimension=256)
+    @example(texts=["a", "ab", "İ", "\U0001f600", "\x01", "\x02\x01", "a\x01b\x02c"], dimension=256)
+    @example(texts=["bb", "a\U0001f600", "cİé", "ab"], dimension=7)
+    def test_trigram_array_equals_per_text_loop(self, texts, dimension):
+        batch = HashProvider(EmbeddingProviderConfig(dimension=dimension)).embed(texts)
+        reference = oracles.hash_embed_all_per_text(texts, dimension)
+        assert [v.tobytes() for v in batch] == [v.tobytes() for v in reference]
+
+    def test_rows_whose_signs_cancel_become_e0(self):
+        e0 = np.zeros(7)
+        e0[0] = 1.0
+        cancelled = ["bb", "a\U0001f600", "cİé"]
+        for text, vec in zip(cancelled, HashProvider(EmbeddingProviderConfig(dimension=7)).embed(cancelled)):
+            assert vec.tobytes() == e0.tobytes()
+            t = text.lower() if len(text) >= 3 else "\x01" + text.lower() + "\x02"
+            # each trigram alone embeds to +/-e_b; the text's trigrams sum to zero
+            assert not np.sum([hash_embed(t[i : i + 3], 7) for i in range(len(t) - 2)], axis=0).any()
 
     def test_cache_round_trip(self, tmp_path):
         cache = tmp_path / "vectors.cache"

@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import colmatch.sampling as sampling
 import oracles
+from colmatch.augmentation import structural_variants
+from colmatch.retrieval import column_samples
 from colmatch.sampling import SamplerConfig, hash_unit, sample_values
-from colmatch.tables import Column
+from colmatch.tables import Column, Table
 
 
 def _col(values, name="c"):
@@ -232,3 +235,37 @@ def test_rank_ties_break_by_utf8_bytes(cells, strategy, m):
     finally:
         sampling.hash_unit = original
     assert out == oracles.sample_values_longhand(cells, strategy, m, 0, unit=coarse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cells=st.one_of(
+        st.lists(_cells, max_size=30),
+        st.lists(st.one_of(st.none(), _na_cells), max_size=8),  # all missing
+        st.tuples(st.text(min_size=1, max_size=3), st.lists(st.one_of(st.none(), _na_cells), max_size=4))
+        .filter(lambda t: t[0].strip().lower() not in ("", "na", "n/a", "null", "none"))
+        .map(lambda t: [t[0]] * 3 + t[1]),  # one value
+    ),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(cells=["", " NA", None, "n/a"], m=3, seed=0)
+@example(cells=["x", None, "", "x", "NULL", "x"], m=3, seed=0)
+@example(cells=["b", "a", "b", None, "c", " ", "a", "b"], m=2, seed=7)
+def test_readers_of_the_kept_counts_equal_a_per_cell_count(cells, m, seed):
+    col, mirror = _col(cells), _col(cells[::-1], name="r")
+    present = [c for c in cells if not oracles.cell_missing_longhand(c)]
+    assert col.distinct == tuple(dict.fromkeys(present))
+    assert col.counts == tuple(present.count(v) for v in col.distinct)
+    assert col.inferred_type == oracles.infer_type_longhand(cells)  # _classify reads the counts
+    for strategy in sampling.STRATEGIES:
+        want = {
+            name: oracles.sample_values_longhand(column_cells, strategy, m, seed)
+            for name, column_cells in (("c", cells), ("r", cells[::-1]))
+        }
+        config = SamplerConfig(strategy, m, seed)
+        assert sample_values(col, config) == want["c"]
+        assert column_samples(Table("t", [col, mirror]), config) == want
+    # structural_variants reads the name and the first-occurrence distinct values
+    stand_in = SimpleNamespace(name=col.name, distinct=tuple(dict.fromkeys(col.non_missing())))
+    assert structural_variants(col, 3, seed) == structural_variants(stand_in, 3, seed)

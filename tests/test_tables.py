@@ -1,6 +1,7 @@
 import csv
 import random
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,21 @@ def test_built_column_equals_loaded_column(cells):
     assert built == loaded
     assert built.values == tuple(None if oracles.cell_missing_longhand(c) else c for c in cells)
     assert built.inferred_type == oracles.infer_type_longhand(cells)
+
+
+def test_kept_counts_stay_out_of_equality_hash_and_repr(tmp_path):
+    cells = ["b", "NA", "a", "", "b", " none"]
+    built = _col(cells)
+    (loaded,) = load_table(write_csv(tmp_path / "t.csv", ["c"], [[cell] for cell in cells])).columns
+    values = ("b", None, "a", None, "b", None)
+    for col in (built, loaded):
+        assert (col.distinct, col.counts) == (("b", "a"), (2, 1))
+        assert repr(col) == f"Column(name='c', values={values!r}, inferred_type='binary')"
+        assert hash(col) == hash(("c", values, "binary"))
+    assert built == loaded
+    assert [f.name for f in fields(Column) if f.compare] == ["name", "values", "inferred_type"]
+    object.__setattr__(built, "counts", (9, 9))
+    assert built == loaded and hash(built) == hash(loaded)
 
 
 @pytest.mark.parametrize(
