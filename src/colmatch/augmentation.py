@@ -206,7 +206,7 @@ def build_classes(
     prompts = {}
     if client is not None and n_semantic > 0:
         prompts = {name: build_augmentation_prompt(name, sample) for name, sample in anchors}
-    answers = dict(zip(prompts, ask_each(client, prompts, parse_augmentation_response, max(1, max_concurrent))))
+    answers = dict(zip(prompts, ask_each(client, prompts, parse_augmentation_response, max_concurrent)))
 
     classes = []
     for class_id, (name, sample) in enumerate(anchors):

@@ -56,8 +56,11 @@ class EmbeddingProviderConfig:
         return f"remote:{self.endpoint}"
 
 
-# the sign draw is FNV-1a over b"\xa5" + trigram, continued from this state
+# a trigram's sign is the low bit of FNV-1a over b"\xa5" + trigram, continued from this
+# state.  FNV-1a multiplies by an odd prime, so a hash's low bit is its start state's XOR
+# the bytes' low bits: that bit is the plain hash's low bit XOR _SIGN_FLIP
 _SIGN_STATE = fnv1a64(b"\xa5")
+_SIGN_FLIP = np.uint64((_SIGN_STATE ^ fnv1a64(b"")) & 1)
 # a trigram key packs its three code points (each below 2**21) high to low
 _POINT = np.uint64((1 << 21) - 1)
 _SHIFT1, _SHIFT2 = np.uint64(21), np.uint64(42)
@@ -92,7 +95,9 @@ def _hash_embed_all(texts: Sequence[str], dimension: int) -> list:
     The lowercased, padded texts are joined into one array of code points,
     and each trigram inside a text packs into one 63-bit key (21 bits per
     code point).  Each distinct key is unpacked to its three characters and
-    hashed once, through their UTF-8, in one batch.
+    hashed once, through their UTF-8, in one batch: the hash mod `dimension`
+    is its bucket and its low bit its sign, so at an even dimension a
+    bucket's parity fixes its sign.
     """
     padded = [t if len(t) >= 3 else "\x01" + t + "\x02" for t in map(str.lower, texts)]
     lengths = np.fromiter(map(len, padded), dtype=np.intp, count=len(padded))
@@ -106,9 +111,9 @@ def _hash_embed_all(texts: Sequence[str], dimension: int) -> list:
     unpacked = np.stack([distinct >> _SHIFT2, distinct >> _SHIFT1 & _POINT, distinct & _POINT], axis=1)
     chars = unpacked.astype("<u4").tobytes().decode("utf-32-le")
     raw = [chars[i : i + 3].encode("utf-8") for i in range(0, len(chars), 3)]
-    # two independent draws: plain FNV-1a for the bucket, the reseeded one for the sign
-    buckets = (fnv1a64_many(raw) % np.uint64(dimension)).astype(np.intp)
-    signs = 1.0 - 2.0 * (fnv1a64_many(raw, _SIGN_STATE) & np.uint64(1)).astype(np.float64)
+    hashes = fnv1a64_many(raw)
+    buckets = (hashes % np.uint64(dimension)).astype(np.intp)
+    signs = 1.0 - 2.0 * ((hashes ^ _SIGN_FLIP) & np.uint64(1)).astype(np.float64)
     rows = np.repeat(np.arange(len(padded), dtype=np.intp), lengths - 2)
     # sums of +/-1.0 are exact in any order, so this equals adding one trigram at a time
     acc = np.bincount(
@@ -180,6 +185,18 @@ class HashProvider:
         return _hash_embed_all(texts, self.dimension)
 
 
+def post_json(url: str, body, timeout: float, headers: Optional[dict] = None):
+    """The decoded JSON reply to one POST of `body` as JSON, without retries.
+
+    A failed transport or an HTTP error status raises OSError, a reply that is not JSON ValueError.
+    """
+    import requests  # deferred: loading it doubles the modules a run without HTTP imports
+
+    resp = requests.post(url, json=body, headers=headers, timeout=timeout)
+    resp.raise_for_status()
+    return resp.json()
+
+
 class RemoteProvider:
     """JSON-over-HTTP provider: POST {"texts": [...]} to the /embed route.
 
@@ -203,8 +220,6 @@ class RemoteProvider:
         return out
 
     def _request(self, batch: list) -> list:
-        import requests  # deferred: loading it doubles the modules a run without HTTP imports
-
         delay = RETRY_BACKOFF_SECONDS
         last_error = None
         for attempt in range(RETRY_ATTEMPTS):
@@ -212,14 +227,10 @@ class RemoteProvider:
                 time.sleep(delay)
                 delay *= 2
             try:
-                resp = requests.post(
-                    self.url, json={"texts": batch}, timeout=REQUEST_TIMEOUT_SECONDS
-                )
-                resp.raise_for_status()
-                payload = resp.json()
+                payload = post_json(self.url, {"texts": batch}, REQUEST_TIMEOUT_SECONDS)
                 dimension = int(payload["dimension"])
                 vectors = [np.asarray(v, dtype=np.float64) for v in payload["vectors"]]
-            except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
+            except (OSError, ValueError, KeyError, TypeError) as exc:
                 last_error = exc
                 continue
             if len(vectors) != len(batch):

@@ -70,6 +70,10 @@ class ProjectionHead:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("projection matrix must be square")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("weights must be finite")
+        if not math.isfinite(self.score):
+            raise ValueError(f"score must be a finite number, got {self.score!r}")
 
     @property
     def dimension(self) -> int:
@@ -347,12 +351,13 @@ def load_head(path) -> ProjectionHead:
     dimension, score = header["dimension"], header.get("score")
     if dimension < 1:
         raise malformed(f"dimension must be >= 1, got {dimension}")
-    if type(score) not in (int, float) or not math.isfinite(score):
+    if type(score) not in (int, float):
         raise malformed(f"score must be a finite number, got {score!r}")
     expected = dimension * dimension * 4
     if len(payload) != expected:
         raise malformed(f"holds {len(payload)} weight bytes, expected {expected}")
     matrix = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dimension, dimension)
-    if not np.isfinite(matrix).all():
-        raise malformed("weights must be finite")
-    return ProjectionHead(matrix, seed=header["seed"], score=float(score))
+    try:
+        return ProjectionHead(matrix, seed=header["seed"], score=float(score))
+    except ValueError as exc:  # non-finite weights or score
+        raise malformed(str(exc)) from None

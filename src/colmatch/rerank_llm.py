@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .embedding import post_json
 from .linestore import LineStore
 from .retrieval import MatchList, place_below
 
@@ -57,8 +58,9 @@ FORMAT_BLOCK = (
     "additional information and quotations."
 )
 
-# one "name(score)" entry; names may not contain "(" or ";"
-_ENTRY_RE = re.compile(r"\s*([^(;]*?)\s*\((\d+(?:\.\d{1,2})?)\)\s*")
+# one "name(score)" entry: the score is the entry's last parenthesized number, so a
+# name may hold parentheses ("weight (kg)(0.90)"), but not ";"
+_ENTRY_RE = re.compile(r"\s*([^;]*?)\s*\((\d+(?:\.\d{1,2})?)\)\s*")
 
 
 class LlmTransportError(RuntimeError):
@@ -135,8 +137,6 @@ class HttpLlmClient:
         self.config = config
 
     def complete(self, prompt: str) -> str:
-        import requests  # deferred: loading it doubles the modules a run without HTTP imports
-
         headers = {}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
@@ -147,15 +147,9 @@ class HttpLlmClient:
             "messages": [{"role": "user", "content": prompt}],
         }
         try:
-            resp = requests.post(
-                self.config.endpoint,
-                json=payload,
-                headers=headers,
-                timeout=REQUEST_TIMEOUT_SECONDS,
-            )
-            resp.raise_for_status()
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (requests.RequestException, ValueError, KeyError, IndexError, TypeError) as exc:
+            reply = post_json(self.config.endpoint, payload, REQUEST_TIMEOUT_SECONDS, headers)
+            content = reply["choices"][0]["message"]["content"]
+        except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
             raise LlmTransportError(
                 f"llm endpoint {self.config.endpoint}: {exc}"
             ) from exc
@@ -245,6 +239,8 @@ def ask_each(client, prompts: dict, parse, max_concurrent: int) -> list:
 
     At most `max_concurrent` requests are in flight at once.
     """
+    if max_concurrent < 1:
+        raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
     if not prompts:
         return []
 

@@ -290,24 +290,12 @@ def exact_name_override(matches: MatchList, source: Table, target: Table) -> Mat
     return MatchList.of(matches.source_table, matches.target_table, matches.k, sources, index, lengths, target, score)
 
 
-def match_list_as_dict(matches: MatchList) -> dict:
-    return {
-        "source_table": matches.source_table,
-        "target_table": matches.target_table,
-        "matches": [
-            {
-                "source": cand.source,
-                "target": cand.target,
-                "score": cand.score,
-                "rank": cand.rank,
-            }
-            for cand in matches.flat()
-        ],
-    }
-
-
 def write_match_json(matches: MatchList, path) -> None:
-    """Write match_list_as_dict() as json.dump(ensure_ascii=False, indent=2) would, plus a newline.
+    """Write the matches as json.dump(ensure_ascii=False, indent=2) would, plus a newline.
+
+    The object holds "source_table", "target_table" and "matches": one
+    {"source", "target", "score", "rank"} object per candidate, in the
+    order of `matches.entries`.
 
     Formatted directly, each name escaped once: the indenting encoder is
     pure Python and dominates the write on wide tables.

@@ -97,9 +97,6 @@ class Column:
         object.__setattr__(self, "counts", tuple(counts.values()))
         object.__setattr__(self, "inferred_type", _classify(self.distinct, self.counts))
 
-    def non_missing(self) -> list:
-        return [v for v in self.values if v is not None]
-
 
 @dataclass(frozen=True)
 class Table:

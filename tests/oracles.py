@@ -419,3 +419,20 @@ def run_one_longhand(cell, pair, seed, grid):
         "recall_at_gt": report.recall_at_gt,
         "runtime_seconds": report.runtime_seconds,
     }
+
+
+def match_list_as_dict(matches):
+    """The object write_match_json writes, built from one MatchCandidate per entry for json.dump."""
+    return {
+        "source_table": matches.source_table,
+        "target_table": matches.target_table,
+        "matches": [
+            {
+                "source": cand.source,
+                "target": cand.target,
+                "score": cand.score,
+                "rank": cand.rank,
+            }
+            for cand in matches.flat()
+        ],
+    }

@@ -230,6 +230,13 @@ class TestBuildClasses:
         assert len(classes[0].members) == 3
         assert any("structural variants only" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_a_width_below_one_is_refused(self, width):
+        client = FakeClient([])
+        with pytest.raises(ValueError, match="max_concurrent must be >= 1"):
+            build_classes(small_table(), seed=0, client=client, max_concurrent=width)
+        assert client.prompts == []
+
     def test_transport_errors_also_fall_back(self):
         client = FakeClient([LlmTransportError("down")] * 3)
         classes = build_classes(

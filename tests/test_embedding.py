@@ -11,7 +11,9 @@ from colmatch.embedding import (
     VectorCache,
     get_provider,
     hash_embed,
+    post_json,
 )
+from colmatch.sampling import fnv1a64_many
 
 import oracles
 from stubs import JsonStubServer
@@ -121,7 +123,7 @@ class TestHashProvider:
             ),
             max_size=8,
         ),
-        dimension=st.sampled_from([2, 7, 256]),
+        dimension=st.integers(2, 300),
     )
     @example(texts=[], dimension=2)
     @example(texts=[""], dimension=256)
@@ -131,6 +133,19 @@ class TestHashProvider:
         batch = HashProvider(EmbeddingProviderConfig(dimension=dimension)).embed(texts)
         reference = oracles.hash_embed_all_per_text(texts, dimension)
         assert [v.tobytes() for v in batch] == [v.tobytes() for v in reference]
+
+    # the embedder takes a trigram's sign from its bucket hash's low bit: FNV-1a multiplies by
+    # an odd prime, so two hashes of the same bytes differ in the low bit as their start states do
+    @settings(max_examples=200)
+    @given(
+        rows=st.lists(st.binary(max_size=12), max_size=40),
+        a=st.integers(0, 2**64 - 1),
+        b=st.integers(0, 2**64 - 1),
+    )
+    def test_low_bits_of_two_start_states_differ_by_their_low_bits(self, rows, a, b):
+        low_a = fnv1a64_many(rows, a) & np.uint64(1)
+        low_b = fnv1a64_many(rows, b) & np.uint64(1)
+        assert ((low_a ^ low_b) == np.uint64((a ^ b) & 1)).all()
 
     def test_rows_whose_signs_cancel_become_e0(self):
         e0 = np.zeros(7)
@@ -232,6 +247,28 @@ class _NoSleep:
     def __exit__(self, *exc):
         embedding.time.sleep = self._orig
         return False
+
+
+class TestPostJson:
+    def test_sends_the_body_and_headers_and_decodes_the_reply(self):
+        def handler(path, body):
+            return 200, {"echo": body}
+
+        with JsonStubServer(handler) as server:
+            reply = post_json(server.url + "/x", {"a": [1, "é"]}, 5.0, {"X-Test": "yes"})
+            path, body, headers = server.requests[0]
+        assert reply == {"echo": {"a": [1, "é"]}}
+        assert (path, body, headers.get("X-Test")) == ("/x", {"a": [1, "é"]}, "yes")
+
+    def test_an_error_status_raises_oserror(self):
+        with JsonStubServer(lambda path, body: (503, {"error": "overloaded"})) as server:
+            with pytest.raises(OSError, match="503"):
+                post_json(server.url, {}, 5.0)
+
+    def test_a_reply_that_is_not_json_raises_valueerror(self):
+        with JsonStubServer(lambda path, body: (200, "not json")) as server:
+            with pytest.raises(ValueError):
+                post_json(server.url, {}, 5.0)
 
 
 class TestRemoteProvider:

@@ -258,6 +258,21 @@ class TestProjectionHead:
         with pytest.raises(ValueError):
             ProjectionHead(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "matrix,score,problem",
+        [
+            (np.full((2, 2), np.nan), 0.0, "weights must be finite"),
+            (np.diag([1.0, np.inf]), 0.0, "weights must be finite"),
+            (np.eye(2), float("nan"), "score must be a finite number, got nan"),
+            (np.eye(2), float("-inf"), "score must be a finite number, got -inf"),
+        ],
+        ids=["nan-weights", "inf-weight", "nan-score", "inf-score"],
+    )
+    def test_a_head_load_head_would_refuse_is_not_built(self, tmp_path, matrix, score, problem):
+        with pytest.raises(ValueError, match=problem):
+            save_head(ProjectionHead(matrix, score=score), tmp_path / "head.bin")
+        assert not (tmp_path / "head.bin").exists()
+
     def test_file_round_trip(self, tmp_path):
         matrix = np.random.RandomState(0).randn(5, 5)
         head = ProjectionHead(matrix, seed=9, score=0.875)

@@ -130,6 +130,17 @@ class TestParseResponse:
         with pytest.raises(LlmParseError):
             parse_response("A(0.5) and more")
 
+    def test_names_may_hold_parentheses(self):
+        out = parse_response("weight (kg)(0.90); amount ($) (0.40);score (2)(0.75)")
+        assert out == [("weight (kg)", 0.90), ("score (2)", 0.75), ("amount ($)", 0.40)]
+
+    def test_names_with_parentheses_are_reranked(self):
+        matches = _matches({"a": [("weight (kg)", 0.9), ("amount ($)", 0.8), ("score (2)", 0.7)]})
+        client = FakeClient(["score (2)(0.90); amount ($)(0.80); weight (kg)(0.70)"])
+        out = rerank_llm(matches, {"a": []}, {}, client=client)
+        assert _order(out, "a") == ["score (2)", "amount ($)", "weight (kg)"]
+        assert len(client.prompts) == 1
+
 
 class TestRerankLlm:
     def test_model_order_applied(self):
@@ -478,6 +489,15 @@ class TestAskEach:
         answers = ask_each(SecondFirstClient(), {"a": "first", "b": "second"}, str.upper, 2)
         assert answered == ["second", "first"]
         assert answers == ["ANSWER TO FIRST", "ANSWER TO SECOND"]
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_a_width_below_one_is_refused(self, width):
+        client = FakeClient([])
+        with pytest.raises(ValueError, match="max_concurrent must be >= 1"):
+            ask_each(client, {"a": "p"}, parse_response, width)
+        with pytest.raises(ValueError, match="max_concurrent must be >= 1"):
+            ask_each(client, {}, parse_response, width)
+        assert client.prompts == []
 
     def test_failed_prompts_answer_none(self):
         client = FakeClient([LlmTransportError("down")] * 3 + ["x(0.5)"])

@@ -19,7 +19,6 @@ from colmatch.retrieval import (
     MatchList,
     embed_table,
     exact_name_override,
-    match_list_as_dict,
     name_ranks,
     normalize_name,
     place_below,
@@ -32,7 +31,7 @@ from colmatch.sampling import STRATEGIES, SamplerConfig
 from colmatch.serialization import SerializationConfig
 from colmatch.tables import Column, Table
 
-from oracles import top_k_longhand
+from oracles import match_list_as_dict, top_k_longhand
 
 
 def _table(name, column_names):
