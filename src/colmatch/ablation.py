@@ -84,8 +84,8 @@ class ExperimentGrid:
 def _suite_entry(entry):
     # accepts ["src", "dst", "gt"] or {"source": ..., "target": ..., "ground_truth": ...}
     if isinstance(entry, dict):
-        return entry["source"], entry["target"], entry["ground_truth"]
-    if isinstance(entry, (list, tuple)) and len(entry) == 3:
+        entry = [entry.get(key) for key in ("source", "target", "ground_truth")]
+    if isinstance(entry, (list, tuple)) and len(entry) == 3 and all(isinstance(p, (str, Path)) for p in entry):
         return tuple(entry)
     raise ValueError(
         "suite entries must be [source, target, ground_truth] paths or an object with those keys"

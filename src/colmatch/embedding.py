@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
 import threading
 import time
 from dataclasses import dataclass
@@ -188,13 +189,28 @@ class HashProvider:
 def post_json(url: str, body, timeout: float, headers: Optional[dict] = None):
     """The decoded JSON reply to one POST of `body` as JSON, without retries.
 
-    A failed transport or an HTTP error status raises OSError, a reply that is not JSON ValueError.
+    A failed transport or an HTTP error status raises OSError, a reply that is not JSON ValueError,
+    and so does a URL that is not http or https, before anything is opened.
     """
-    import requests  # deferred: loading it doubles the modules a run without HTTP imports
+    # deferred: a run that sends no HTTP never loads the HTTP stack
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
 
-    resp = requests.post(url, json=body, headers=headers, timeout=timeout)
-    resp.raise_for_status()
-    return resp.json()
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise ValueError(f"not an http or https URL: {url}")
+    data = json.dumps(body, allow_nan=False).encode("utf-8")
+    request = urllib.request.Request(url, data, {"Content-Type": "application/json", **(headers or {})})
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            raw = resp.read()
+    except urllib.error.HTTPError as exc:  # an error status: an OSError that holds the reply's socket
+        exc.close()
+        raise
+    except http.client.HTTPException as exc:  # a torn body or a malformed status line
+        raise OSError(f"{url}: {exc!r}") from exc
+    return json.loads(raw)
 
 
 class RemoteProvider:

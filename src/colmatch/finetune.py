@@ -324,11 +324,18 @@ def train(
 
 
 def save_head(head: ProjectionHead, path) -> None:
-    """Header line {dimension, seed, score}, then row-major float32 weights."""
+    """Header line {dimension, seed, score}, then row-major float32 weights.
+
+    A weight beyond float32's range, which load_head refuses, is a ValueError.
+    """
     header = {"dimension": head.dimension, "seed": head.seed, "score": head.score}
     with replace_atomically(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(head.matrix, dtype="<f4").tobytes())
+        with np.errstate(over="ignore"):
+            weights = np.ascontiguousarray(head.matrix, dtype="<f4")
+        if not np.isfinite(weights).all():
+            raise ValueError(f"projection file {path}: weights beyond the float32 range")
+        fh.write(weights.tobytes())
 
 
 def load_head(path) -> ProjectionHead:

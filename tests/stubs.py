@@ -1,8 +1,9 @@
-"""Tiny in-process HTTP server for exercising remote providers in tests."""
+"""Tiny in-process HTTP servers for exercising remote providers in tests."""
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -57,4 +58,59 @@ class JsonStubServer:
     def __exit__(self, *exc):
         self._server.shutdown()
         self._server.server_close()
+        return False
+
+
+class RawReplyServer:
+    """Answers every connection with the same raw bytes, so a reply can break HTTP.
+
+    Each request is read whole and recorded as (headers, body) in .requests,
+    header names lowercased; then `reply` is sent and the socket closed.  A
+    `reply` of None never answers: the socket stays open until the server stops.
+    """
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.requests = []
+        self._stopped = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)  # how often the accept loop looks for a stop
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def url(self) -> str:
+        host, port = self._listener.getsockname()[:2]
+        return f"http://{host}:{port}"
+
+    def _serve(self):
+        while not self._stopped.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                self.requests.append(self._read_request(conn))
+                if self.reply is None:
+                    self._stopped.wait()
+                else:
+                    conn.sendall(self.reply)
+
+    @staticmethod
+    def _read_request(conn):
+        with conn.makefile("rb") as stream:
+            stream.readline()  # the request line
+            headers = {}
+            for line in iter(stream.readline, b"\r\n"):
+                name, value = line.decode("latin-1").split(":", 1)
+                headers[name.strip().lower()] = value.strip()
+            return headers, stream.read(int(headers.get("content-length", 0)))
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stopped.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
         return False

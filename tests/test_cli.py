@@ -929,6 +929,26 @@ class TestAblateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["s.csv", "t.csv"],
+            [1, 2, 3],
+            {"source": "s.csv", "target": "t.csv"},
+            {"target": "t.csv", "ground_truth": "gt.csv"},
+            {"source": None, "target": "t.csv", "ground_truth": "gt.csv"},
+        ],
+        ids=["two-paths", "numbers", "no-ground-truth", "no-source", "null-source"],
+    )
+    def test_suite_entry_without_three_paths_exits_one(self, tmp_path, capsys, entry):
+        grid = write_config(tmp_path / "grid.json", {"suite": [entry]})
+        out_dir = tmp_path / "results"
+        assert main(["ablate", "--grid", grid, "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: suite entries must be [source, target, ground_truth] paths or an object with those keys\n"
+        )
+        assert not out_dir.exists()
+
     def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--grid", "g.json", "--out", str(tmp_path), "--config", "c.json"])
@@ -1042,8 +1062,8 @@ class TestScipyImport:
         assert after_bipartite > 0
 
 
-class TestRequestsImport:
-    def test_requests_loads_only_for_a_remote_run(self, tmp_path, pair):
+class TestHttpImport:
+    def test_the_http_stack_loads_only_for_a_remote_run_and_requests_never(self, tmp_path, pair):
         # a fresh interpreter, so no other test's import counts
         source, target, _ = pair
 
@@ -1054,20 +1074,23 @@ class TestRequestsImport:
             config = write_config(tmp_path / "cfg.json", {"provider": {"kind": "remote", "endpoint": server.url}})
             script = (
                 "import json, sys\n"
-                "def requests_modules():\n"
-                "    return len([m for m in sys.modules if m == 'requests' or m.startswith('requests.')])\n"
+                "def loaded(*names):\n"
+                "    return len([m for m in sys.modules if m in names or m.startswith(tuple(n + '.' for n in names))])\n"
                 "from colmatch.cli import main\n"
                 "seen = []\n"
                 f"for extra in (['--reranker', 'none'], ['--config', {config!r}]):\n"
                 f"    out = {str(tmp_path)!r} + '/' + extra[0].strip('-')\n"
                 f"    code = main(['match', {str(source)!r}, {str(target)!r}, '--out', out, *extra])\n"
-                "    seen += [code, requests_modules()]\n"
+                "    seen += [code, loaded('http.client', 'urllib.request'), loaded('requests')]\n"
                 "print(json.dumps(seen))\n"
             )
             env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
             result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
             sent = len(server.requests)
         assert result.returncode == 0, result.stderr
-        hash_code, after_hash, remote_code, after_remote = json.loads(result.stdout.splitlines()[-1])
-        assert (hash_code, after_hash, remote_code) == (0, 0, 0)
-        assert after_remote > 0 and sent > 0
+        hash_code, http_after_hash, requests_after_hash, remote_code, http_after_remote, requests_after_remote = (
+            json.loads(result.stdout.splitlines()[-1])
+        )
+        assert (hash_code, http_after_hash, remote_code) == (0, 0, 0)
+        assert http_after_remote > 0 and sent > 0
+        assert (requests_after_hash, requests_after_remote) == (0, 0)

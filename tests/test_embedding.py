@@ -1,3 +1,7 @@
+import json
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +20,7 @@ from colmatch.embedding import (
 from colmatch.sampling import fnv1a64_many
 
 import oracles
-from stubs import JsonStubServer
+from stubs import JsonStubServer, RawReplyServer
 
 
 def embed_batch(texts, config=None):
@@ -249,6 +253,9 @@ class _NoSleep:
         return False
 
 
+REPLY_OK = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 12\r\n\r\n{\"ok\": true}"
+
+
 class TestPostJson:
     def test_sends_the_body_and_headers_and_decodes_the_reply(self):
         def handler(path, body):
@@ -269,6 +276,47 @@ class TestPostJson:
         with JsonStubServer(lambda path, body: (200, "not json")) as server:
             with pytest.raises(ValueError):
                 post_json(server.url, {}, 5.0)
+
+    def test_the_body_is_sent_as_compact_utf8_json(self):
+        body = {"texts": ["é", "naïve \u2603"], "temperature": 0.5, "n": [1, None, True]}
+        with RawReplyServer(REPLY_OK) as server:
+            assert post_json(server.url, body, 5.0) == {"ok": True}
+        headers, raw = server.requests[0]
+        assert raw == json.dumps(body, allow_nan=False).encode("utf-8")
+        assert headers["content-type"] == "application/json"
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            # a body cut short of its Content-Length
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"ok\": tr",
+            b"garbage\r\n\r\n",
+            b"",  # the socket is closed without a reply
+        ],
+        ids=["torn-body", "garbage-status-line", "closed-socket"],
+    )
+    def test_a_broken_reply_raises_oserror(self, reply):
+        with RawReplyServer(reply) as server:
+            with pytest.raises(OSError):
+                post_json(server.url, {"texts": ["a"]}, 5.0)
+
+    def test_a_server_that_never_answers_raises_oserror_after_the_timeout(self):
+        with RawReplyServer(None) as server:
+            start = time.perf_counter()
+            with pytest.raises(OSError):
+                post_json(server.url, {"texts": ["a"]}, 0.2)
+            assert time.perf_counter() - start < 2.0
+
+    def test_a_file_url_is_not_read(self, tmp_path):
+        reply = tmp_path / "reply.json"
+        reply.write_text('{"ok": true}', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(reply.as_uri())):
+            post_json(reply.as_uri(), {}, 5.0)
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1/x", "localhost:1/embed"])
+    def test_a_url_that_is_not_http_is_a_valueerror_naming_it(self, url):
+        with pytest.raises(ValueError, match=re.escape(url)):
+            post_json(url, {}, 5.0)
 
 
 class TestRemoteProvider:

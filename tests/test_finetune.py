@@ -313,6 +313,20 @@ class TestProjectionHead:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["head.bin"]
 
+    def test_weights_beyond_float32_are_refused_and_keep_the_previous_file(self, tmp_path):
+        path = tmp_path / "head.bin"
+        save_head(ProjectionHead(np.eye(2), seed=4), path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="float32"):
+            save_head(ProjectionHead(np.eye(2) * 1e39), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["head.bin"]
+
+    def test_the_largest_float32_weight_is_saved_and_loaded(self, tmp_path):
+        matrix = np.eye(2) * -float(np.finfo(np.float32).max)
+        save_head(ProjectionHead(matrix), tmp_path / "head.bin")
+        assert np.array_equal(load_head(tmp_path / "head.bin").matrix, matrix)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "head.bin"
         save_head(ProjectionHead(np.eye(3)), path)
