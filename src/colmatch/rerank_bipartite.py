@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_array, issparse
 
 from .retrieval import MatchList, name_ranks, place_below
 
@@ -29,22 +30,31 @@ class Assignment:
 def solve_assignment(weights) -> Assignment:
     """Maximum-total-weight one-to-one matching over the present entries.
 
-    `weights` is a 2-D array where NaN marks a pair that cannot be
-    assigned.  Rows and columns may stay unmatched, and only edges of
-    weight > 0 are ever assigned: an edge that adds nothing to the total is
-    left out.  Exact, polynomial time: the n x m matrix with absent and
-    non-positive entries set to 0 goes to scipy's rectangular
-    shortest-augmenting-path solver (Crouse, IEEE TAES 2016), and its
-    zero-gain pairs are dropped.
+    `weights` is a dense 2-D array where NaN marks a pair that cannot be
+    assigned, or a scipy.sparse array whose stored entries are the present
+    pairs (a repeated pair keeps its last stored weight).  Rows and columns
+    may stay unmatched, and only edges of weight > 0 are ever assigned: an
+    edge that adds nothing to the total is left out.  Exact, polynomial
+    time: the one n x m cost matrix, -max(weight, 0) with 0 for absent
+    pairs, goes to scipy's rectangular shortest-augmenting-path solver
+    (Crouse, IEEE TAES 2016) as a minimisation, so the solver copies no
+    matrix unless n > m; the pairs of cost 0 are dropped, and each kept
+    edge's weight is its -cost, exactly.
     """
-    W = np.asarray(weights, dtype=np.float64)
-    if W.ndim != 2:
+    if np.ndim(weights) != 2:
         raise ValueError("weights must be a 2-D matrix")
-    gain = np.fmax(W, 0.0)  # absent (NaN) and non-positive entries gain 0
-    rows, cols = linear_sum_assignment(gain, maximize=True)
-    keep = gain[rows, cols] > 0.0
-    rows, cols = rows[keep], cols[keep]
-    edges = sorted(zip(rows.tolist(), cols.tolist(), W[rows, cols].tolist()))
+    # absent (NaN or not stored) and non-positive entries gain 0
+    if issparse(weights):
+        entries = weights.tocoo()
+        gain = np.zeros(entries.shape)
+        gain[entries.row, entries.col] = np.fmax(entries.data, 0.0)  # a repeated pair: the last write wins
+    else:
+        gain = np.fmax(np.asarray(weights, dtype=np.float64), 0.0, order="C")
+    cost = np.negative(gain, out=gain)
+    rows, cols = linear_sum_assignment(cost)
+    weight = -cost[rows, cols]
+    keep = weight > 0.0
+    edges = sorted(zip(rows[keep].tolist(), cols[keep].tolist(), weight[keep].tolist()))
     total = math.fsum(w for _, _, w in edges)
     return Assignment(tuple(edges), total)
 
@@ -59,14 +69,12 @@ def rerank_bipartite(matches: MatchList) -> MatchList:
     """
     n = len(matches.sources)
     row = matches.rows()
-    used = np.unique(matches.target)  # W's columns: the listed targets, in name order
+    used = np.unique(matches.target)  # the graph's columns: the listed targets, in name order
     column = np.zeros(len(matches.targets), dtype=np.intp)
     column[used] = name_ranks([matches.targets[t] for t in used.tolist()])
     col = column[matches.target]
-    W = np.full((n, len(used)), np.nan)
-    W[row, col] = matches.score
 
-    assignment = solve_assignment(W)
+    assignment = solve_assignment(coo_array((matches.score, (row, col)), shape=(n, len(used))))
     lead_col, lead_w = np.full(n, -1), np.full(n, np.nan)
     for r, c, w in assignment.edges:
         lead_col[r], lead_w[r] = c, w

@@ -34,6 +34,10 @@ DEFAULT_K = 20
 # per-byte steps, small enough to keep the batch's arrays out of peak memory
 HASH_BATCH = 2048
 
+# score cells that top_k ranks per block of rows: its negated copy, partition,
+# masks and sort stay this size, so the full matrix is read but never copied
+TOP_K_CELLS = 1 << 17
+
 _NAME_JUNK_RE = re.compile(r"[^a-z0-9]")
 _CSV_QUOTED_RE = re.compile('[,"\r\n]')
 # json.dumps spells the non-finite floats apart from repr()
@@ -189,21 +193,28 @@ def top_k(scores, name_rank, k: int) -> np.ndarray:
     """Column indices of the min(k, m) best entries of each row of an (n, m) matrix.
 
     Best means highest score, then lowest name_rank; NaN ranks after every
-    number.  A partition finds each row's k-th score, every entry at or
+    number.  Per block of rows (TOP_K_CELLS cells at most, one row at
+    least), a partition finds each row's k-th score, every entry at or
     above it survives (so ties at the cut stay in), and one lexsort over the
-    survivors orders them.
+    survivors orders them.  Every step is per row, so the blocks change no
+    result.
     """
-    neg = -np.asarray(scores, dtype=np.float64)
-    n, m = neg.shape
+    scores = np.asarray(scores, dtype=np.float64)
+    n, m = scores.shape
     k = min(k, m)
+    best = np.empty((n, k), dtype=np.intp)
     if n == 0 or k == 0:
-        return np.empty((n, k), dtype=np.intp)
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
-    # a NaN k-th score means the row holds fewer than k numbers: keep all of it
-    rows, cols = np.nonzero((neg <= kth) | np.isnan(kth))
-    order = np.lexsort((name_rank[cols], neg[rows, cols], rows))
-    starts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))[:-1]))
-    return cols[order][starts[:, None] + np.arange(k)]
+        return best
+    height = max(1, TOP_K_CELLS // m)
+    for start in range(0, n, height):
+        neg = -scores[start : start + height]
+        kth = np.partition(neg, k - 1, axis=1)[:, [k - 1]]
+        # a NaN k-th score means the row holds fewer than k numbers: keep all of it
+        rows, cols = np.nonzero((neg <= kth) | np.isnan(kth))
+        order = np.lexsort((name_rank[cols], neg[rows, cols], rows))
+        starts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(neg)))[:-1]))
+        best[start : start + height] = cols[order][starts[:, None] + np.arange(k)]
+    return best
 
 
 def rank_rows(tables, scores, source_names: Sequence[str], target_names: Sequence[str], k: int) -> MatchList:

@@ -1,6 +1,11 @@
 """Shared fixtures-by-hand for CLI / pipeline / ablation tests."""
 
 import csv
+import tracemalloc
+
+import numpy as np
+
+from colmatch.tables import Column, Table
 
 
 def write_csv(path, header, rows):
@@ -24,6 +29,28 @@ def identity_pair(directory, n_cols=3, n_rows=20, decorate_source=True):
         [[source_names[i], target_names[i]] for i in range(n_cols)],
     )
     return source, target, gt
+
+
+def unit_vector_pair(n, m, seed=0, dimension=64):
+    """Tables "s" and "t" of n and m valueless columns, then seeded random unit vectors for each."""
+    rng = np.random.default_rng(seed)
+    tables, vectors = [], []
+    for name, width in (("s", n), ("t", m)):
+        tables.append(Table(name, tuple(Column(f"{name}{i}", ()) for i in range(width))))
+        drawn = rng.standard_normal((width, dimension))
+        vectors.append(drawn / np.linalg.norm(drawn, axis=1, keepdims=True))
+    return (*tables, *vectors)
+
+
+def transient_bytes(call):
+    """The peak bytes tracemalloc sees allocated while call() runs, above those at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 class ScriptedLlmClient:

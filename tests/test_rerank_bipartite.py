@@ -4,11 +4,13 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_array
 
 import colmatch.rerank_bipartite as rerank_module
 from colmatch.rerank_bipartite import Assignment, rerank_bipartite, solve_assignment
-from colmatch.retrieval import MatchCandidate, MatchList
+from colmatch.retrieval import MatchCandidate, MatchList, retrieve_from_vectors
 
+from helpers import transient_bytes, unit_vector_pair
 from oracles import best_partial_assignment, canonical_total
 
 
@@ -87,6 +89,28 @@ _matrices = st.integers(1, 6).flatmap(
 )
 
 
+@st.composite
+def _sparse_forms(draw):
+    """A matrix, and its present entries as (row, col, weight) in any order.
+
+    Some entries are stored twice: first with a decoy weight, then with
+    their own, which the later entry must replace.
+    """
+    W = np.array(draw(_matrices))
+    entries = []
+    for r, c in draw(st.permutations(np.argwhere(~np.isnan(W)).tolist())):
+        if draw(st.booleans()):
+            entries.append((r, c, draw(_weights)))
+        entries.append((r, c, W[r, c]))
+    return W, entries
+
+
+def _coo(entries, shape):
+    rows, cols, data = zip(*entries) if entries else ((), (), ())
+    coords = (np.array(rows, dtype=int), np.array(cols, dtype=int))
+    return coo_array((np.array(data, dtype=np.float64), coords), shape=shape)
+
+
 class TestRectangularAssignment:
     @settings(max_examples=300)
     @given(_matrices)
@@ -115,6 +139,16 @@ class TestRectangularAssignment:
             assert got.edges == want_edges, weights
             assert got.total == want_total
 
+    @settings(max_examples=300)
+    @given(_sparse_forms())
+    def test_sparse_form_equals_the_dense_form(self, case):
+        W, entries = case
+        assert solve_assignment(_coo(entries, W.shape)) == solve_assignment(W)
+
+    def test_repeated_sparse_entry_keeps_its_last_weight(self):
+        entries = [(0, 0, 0.25), (0, 1, 0.5), (0, 0, 1.0), (1, 1, 0.75), (1, 1, math.nan)]
+        assert solve_assignment(_coo(entries, (2, 2))) == Assignment(((0, 0, 1.0),), 1.0)
+
     def test_all_nan_rows_and_zero_weights_stay_unmatched(self):
         nan = math.nan
         out = solve_assignment(
@@ -125,16 +159,32 @@ class TestRectangularAssignment:
         assert solve_assignment([[0.0, -0.0], [-0.1, 0.0]]) == Assignment((), 0.0)
 
     def test_solver_sees_the_n_by_m_matrix(self, monkeypatch):
-        shapes = []
+        seen = []
         original = rerank_module.linear_sum_assignment
 
         def spy(cost, *args, **kwargs):
-            shapes.append(np.shape(cost))
+            seen.append((np.shape(cost), cost.dtype, cost.flags.c_contiguous, args, kwargs))
             return original(cost, *args, **kwargs)
 
         monkeypatch.setattr(rerank_module, "linear_sum_assignment", spy)
-        solve_assignment(np.full((4, 7), 0.5))
-        assert shapes == [(4, 7)]
+        weights = np.full((4, 7), 0.5)
+        weights[1, 2] = math.nan
+        # every form reaches the solver as one C-contiguous float64 matrix to minimise,
+        # which it copies only to transpose
+        forms = (weights, np.asfortranarray(weights), np.ones((4, 7), dtype=int), coo_array(np.ones((4, 7))))
+        for form in forms:
+            solve_assignment(form)
+        rerank_bipartite(_matches({"a": [("x", 0.9), ("y", 0.8)], "b": [("z", -0.5)]}))
+        assert seen == [((4, 7), np.float64, True, (), {})] * 4 + [((2, 3), np.float64, True, (), {})]
+
+
+class TestTransientMemory:
+    def test_assignment_builds_one_cost_matrix(self):
+        n, m = 1030, 1040
+        matches = retrieve_from_vectors(*unit_vector_pair(n, m))
+        used = len(np.unique(matches.target))  # the graph's columns: the targets the lists name
+        peak = transient_bytes(lambda: rerank_bipartite(matches))
+        assert peak <= 1.5 * n * used * 8
 
 
 class TestRerankBipartite:

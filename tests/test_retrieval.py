@@ -31,6 +31,7 @@ from colmatch.sampling import STRATEGIES, SamplerConfig
 from colmatch.serialization import SerializationConfig
 from colmatch.tables import Column, Table
 
+from helpers import transient_bytes, unit_vector_pair
 from oracles import match_list_as_dict, top_k_longhand
 
 
@@ -255,9 +256,9 @@ _any_score = st.one_of(_tie_scores, st.floats(-1.0, 1.0))
 
 
 @st.composite
-def _score_matrix(draw):
+def _score_matrix(draw, max_rows=5):
     names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=7, unique=True))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_rows))
     rows = [draw(st.lists(_any_score, min_size=len(names), max_size=len(names))) for _ in range(n)]
     return rows, names, draw(st.integers(1, len(names) + 2))
 
@@ -268,6 +269,16 @@ class TestTopK:
     def test_equals_per_row_sort(self, case):
         rows, names, k = case
         got = top_k(np.array(rows, dtype=np.float64), name_ranks(names), k)
+        assert got.tolist() == top_k_longhand(rows, names, k)
+
+    @settings(max_examples=300)
+    @given(_score_matrix(max_rows=9), st.integers(1, 21))
+    def test_blocks_of_rows_rank_as_one_matrix(self, case, cells):
+        # budgets below one row give one-row blocks; others leave a short last block
+        rows, names, k = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval, "TOP_K_CELLS", cells)
+            got = top_k(np.array(rows, dtype=np.float64), name_ranks(names), k)
         assert got.tolist() == top_k_longhand(rows, names, k)
 
     def test_nan_at_the_cut_keeps_the_row_full(self):
@@ -292,6 +303,15 @@ class TestTopK:
         assert [c.target for c in out.candidates("p")] == ["a", "c"]
         assert [c.target for c in out.candidates("q")] == ["a", "b"]
         assert [c.rank for c in out.candidates("q")] == [1, 2]
+
+
+class TestTransientMemory:
+    def test_retrieval_copies_no_score_matrix(self):
+        n, m = 1030, 1040
+        assert n * m >= 8 * retrieval.TOP_K_CELLS  # top_k ranks at least 8 blocks of rows
+        pair = unit_vector_pair(n, m)
+        peak = transient_bytes(lambda: retrieve_from_vectors(*pair))
+        assert peak <= 1.5 * n * m * 8  # the score matrix, plus block-sized temporaries
 
 
 def _json_dump_reference(matches, path):
