@@ -1,9 +1,10 @@
 """Embedding providers.
 
-Two kinds: a built-in deterministic feature-hashing embedder (`hash`), which
-is the offline default, and a JSON-over-HTTP provider (`remote`).  Both
-return unit-norm vectors; degenerate all-zero embeddings fall back to the
-basis vector e_0.  CachedProvider keeps results on disk keyed by (provider, text).
+Two kinds: a built-in deterministic embedder of hashed character-trigram
+counts (`hash`), which is the offline default, and a JSON-over-HTTP provider
+(`remote`).  Both return unit-norm vectors; degenerate all-zero embeddings
+fall back to the basis vector e_0.  CachedProvider keeps results on disk
+keyed by (provider, text).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linestore import LineStore
-from .sampling import fnv1a64, fnv1a64_many
+from .sampling import fnv1a64_many
 
 PROVIDER_KINDS = ("hash", "remote")
 
@@ -53,15 +54,10 @@ class EmbeddingProviderConfig:
 
     def provider_id(self) -> str:
         if self.kind == "hash":
-            return f"hash:{self.dimension or DEFAULT_DIMENSION}"
+            return f"hash-counts:{self.dimension or DEFAULT_DIMENSION}"
         return f"remote:{self.endpoint}"
 
 
-# a trigram's sign is the low bit of FNV-1a over b"\xa5" + trigram, continued from this
-# state.  FNV-1a multiplies by an odd prime, so a hash's low bit is its start state's XOR
-# the bytes' low bits: that bit is the plain hash's low bit XOR _SIGN_FLIP
-_SIGN_STATE = fnv1a64(b"\xa5")
-_SIGN_FLIP = np.uint64((_SIGN_STATE ^ fnv1a64(b"")) & 1)
 # a trigram key packs its three code points (each below 2**21) high to low
 _POINT = np.uint64((1 << 21) - 1)
 _SHIFT1, _SHIFT2 = np.uint64(21), np.uint64(42)
@@ -78,27 +74,15 @@ def normalized(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
-def hash_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
-    """Character-trigram feature hashing with signed buckets.
-
-    Lowercases the text, pads inputs shorter than 3 characters with the
-    sentinels \\x01/\\x02, hashes each trigram to a bucket of `dimension`
-    and a +/-1 sign, then L2-normalizes the accumulated counts.
-    """
-    if dimension < 2:
-        raise ValueError("dimension must be >= 2")
-    return _hash_embed_all([text], dimension)[0]
-
-
 def _hash_embed_all(texts: Sequence[str], dimension: int) -> list:
-    """hash_embed of each text, from one array of trigram keys.
+    """Each text's character-trigram counts, hashed into `dimension` buckets and L2-normalized.
 
-    The lowercased, padded texts are joined into one array of code points,
-    and each trigram inside a text packs into one 63-bit key (21 bits per
-    code point).  Each distinct key is unpacked to its three characters and
-    hashed once, through their UTF-8, in one batch: the hash mod `dimension`
-    is its bucket and its low bit its sign, so at an even dimension a
-    bucket's parity fixes its sign.
+    Texts are lowercased, and those shorter than 3 characters are padded
+    with the sentinels \\x01/\\x02.  The padded texts are joined into one
+    array of code points, and each trigram inside a text packs into one
+    63-bit key (21 bits per code point).  Each distinct key is unpacked to
+    its three characters and hashed once, through their UTF-8, in one
+    batch: the FNV-1a hash mod `dimension` is its bucket.
     """
     padded = [t if len(t) >= 3 else "\x01" + t + "\x02" for t in map(str.lower, texts)]
     lengths = np.fromiter(map(len, padded), dtype=np.intp, count=len(padded))
@@ -112,19 +96,16 @@ def _hash_embed_all(texts: Sequence[str], dimension: int) -> list:
     unpacked = np.stack([distinct >> _SHIFT2, distinct >> _SHIFT1 & _POINT, distinct & _POINT], axis=1)
     chars = unpacked.astype("<u4").tobytes().decode("utf-32-le")
     raw = [chars[i : i + 3].encode("utf-8") for i in range(0, len(chars), 3)]
-    hashes = fnv1a64_many(raw)
-    buckets = (hashes % np.uint64(dimension)).astype(np.intp)
-    signs = 1.0 - 2.0 * ((hashes ^ _SIGN_FLIP) & np.uint64(1)).astype(np.float64)
+    buckets = (fnv1a64_many(raw) % np.uint64(dimension)).astype(np.intp)
     rows = np.repeat(np.arange(len(padded), dtype=np.intp), lengths - 2)
-    # sums of +/-1.0 are exact in any order, so this equals adding one trigram at a time
-    acc = np.bincount(
-        rows * dimension + buckets[grams], weights=signs[grams], minlength=len(padded) * dimension
-    ).reshape(len(padded), dimension)
+    counts = np.bincount(rows * dimension + buckets[grams], minlength=len(padded) * dimension)
+    counts = counts.reshape(len(padded), dimension)
     # integer counts: each squared norm is exact, so its root is the one normalized() takes
-    norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    # padding gives every text a trigram but the empty one: "\x01\x02" has none
     zero = norms == 0.0
-    acc[zero, 0], norms[zero] = 1.0, 1.0  # an all-zero row becomes e_0
-    return list(acc / norms[:, None])
+    counts[zero, 0], norms[zero] = 1.0, 1.0  # an all-zero row becomes e_0
+    return list(counts / norms[:, None])
 
 
 class VectorCache:
@@ -177,7 +158,7 @@ class VectorCache:
 
 
 class HashProvider:
-    """Deterministic offline provider built on hash_embed."""
+    """Deterministic offline provider: normalized counts of hashed character trigrams."""
 
     def __init__(self, config: EmbeddingProviderConfig) -> None:
         self.dimension = config.dimension or DEFAULT_DIMENSION

@@ -101,7 +101,7 @@ class MatchList:
     @functools.cached_property
     def score_texts(self) -> list:
         """repr() of each score: the costliest step of each writer, so they share it."""
-        return list(map(repr, self.score.tolist()))
+        return list(map(float.__repr__, self.score))  # one float at a time, never a list of all
 
     @functools.cached_property
     def per_source(self) -> dict:
@@ -309,23 +309,28 @@ def write_match_json(matches: MatchList, path) -> None:
     order of `matches.entries`.
 
     Formatted directly, each name escaped once: the indenting encoder is
-    pure Python and dominates the write on wide tables.
+    pure Python and dominates the write on wide tables.  Written one entry
+    at a time, from one source's arrays at a time, so neither the document
+    nor a Python copy of every entry is held whole.
     """
     enc = encode_basestring
-    heads = [f'    {{\n      "source": {enc(s)},\n      "target": ' for s in matches.sources]
-    targets = [enc(t) for t in matches.targets]
-    scores = [_JSON_NON_FINITE.get(text, text) for text in matches.score_texts]
-    entries = ",\n".join(
-        f'{heads[i]}{targets[t]},\n      "score": {score},\n      "rank": {rank}\n    }}'
-        for i, t, score, rank in matches.entries(scores)
-    )
-    listing = f"[\n{entries}\n  ]" if entries else "[]"
+    targets, scores = [enc(t) for t in matches.targets], matches.score_texts
+    offsets = matches.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f'{{\n  "source_table": {enc(matches.source_table)},\n'
             f'  "target_table": {enc(matches.target_table)},\n'
-            f'  "matches": {listing}\n}}\n'
+            f'  "matches": ['
         )
+        separator = "\n"  # before the first entry; ",\n" before each later one
+        for source, lo, hi in zip(matches.sources, offsets, offsets[1:]):
+            head = f'    {{\n      "source": {enc(source)},\n      "target": '
+            ranked = zip(matches.target[lo:hi].tolist(), scores[lo:hi], matches.rank[lo:hi].tolist())
+            for t, score, rank in ranked:
+                score = _JSON_NON_FINITE.get(score, score)
+                fh.write(f'{separator}{head}{targets[t]},\n      "score": {score},\n      "rank": {rank}\n    }}')
+                separator = ",\n"
+        fh.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
 def _csv_field(name: str) -> str:

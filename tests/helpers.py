@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 
+from colmatch.embedding import DEFAULT_DIMENSION, EmbeddingProviderConfig, HashProvider
 from colmatch.tables import Column, Table
 
 
@@ -14,6 +15,11 @@ def write_csv(path, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def hash_vector(text, dimension=DEFAULT_DIMENSION):
+    """The hash provider's vector for one text at `dimension`."""
+    return HashProvider(EmbeddingProviderConfig(dimension=dimension)).embed([text])[0]
 
 
 def identity_pair(directory, n_cols=3, n_rows=20, decorate_source=True):

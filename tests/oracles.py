@@ -257,6 +257,23 @@ def hash_embed_longhand(text, dimension):
     return acc / norm
 
 
+def hash_counts_longhand(text, dimension):
+    """Unsigned trigram feature hashing, one trigram at a time: the hash provider's vector."""
+    import numpy as np
+
+    t = text.lower()
+    if len(t) < 3:
+        t = "\x01" + t + "\x02"
+    acc = np.zeros(dimension, dtype=np.float64)
+    for i in range(len(t) - 2):
+        acc[fnv1a64_longhand(t[i : i + 3].encode("utf-8")) % dimension] += 1.0
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        acc[0] = 1.0
+        return acc
+    return acc / norm
+
+
 def hash_embed_all_per_text(texts, dimension):
     """The batch hash embedder as it sliced each text's trigrams in a Python loop.
 
@@ -268,8 +285,10 @@ def hash_embed_all_per_text(texts, dimension):
 
     import numpy as np
 
-    from colmatch.embedding import _SIGN_STATE, normalized
-    from colmatch.sampling import fnv1a64_many
+    from colmatch.embedding import normalized
+    from colmatch.sampling import fnv1a64, fnv1a64_many
+
+    _SIGN_STATE = fnv1a64(b"\xa5")
 
     ids = defaultdict()
     ids.default_factory = ids.__len__  # a trigram's id is its first-seen position

@@ -15,13 +15,12 @@ from colmatch import embedding
 from colmatch.ablation import load_grid
 from colmatch.augmentation import load_classes
 from colmatch.cli import EPILOG, build_parser, main, resolve_config
-from colmatch.embedding import hash_embed
 from colmatch.finetune import load_head
 from colmatch.rerank_llm import RecordingLlmClient
 from colmatch.pipeline import PipelineConfig, run_pipeline
 from colmatch.tables import load_table
 
-from helpers import ScriptedLlmClient, identity_pair, write_csv
+from helpers import ScriptedLlmClient, hash_vector, identity_pair, write_csv
 from stubs import JsonStubServer
 
 
@@ -731,7 +730,7 @@ class TestAugmentFinetuneRoundTrip:
         main(["augment", str(target), "--no-llm", "--out", str(classes_path)])
 
         def handler(path, body):
-            vectors = [hash_embed(t, 8).tolist() for t in body["texts"]]
+            vectors = [hash_vector(t, 8).tolist() for t in body["texts"]]
             return 200, {"dimension": 8, "vectors": vectors}
 
         with JsonStubServer(handler) as server:
@@ -1068,7 +1067,7 @@ class TestHttpImport:
         source, target, _ = pair
 
         def handler(path, body):
-            return 200, {"dimension": 8, "vectors": [hash_embed(t, 8).tolist() for t in body["texts"]]}
+            return 200, {"dimension": 8, "vectors": [hash_vector(t, 8).tolist() for t in body["texts"]]}
 
         with JsonStubServer(handler) as server:
             config = write_config(tmp_path / "cfg.json", {"provider": {"kind": "remote", "endpoint": server.url}})

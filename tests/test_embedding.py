@@ -14,12 +14,12 @@ from colmatch.embedding import (
     HashProvider,
     VectorCache,
     get_provider,
-    hash_embed,
     post_json,
 )
 from colmatch.sampling import fnv1a64_many
 
 import oracles
+from helpers import hash_vector
 from stubs import JsonStubServer, RawReplyServer
 
 
@@ -35,36 +35,36 @@ def _cos(a, b):
 class TestHashEmbed:
     def test_unit_norm(self):
         for text in ["patient_age", "x", "", "Érik", "a b c d"]:
-            assert abs(np.linalg.norm(hash_embed(text)) - 1.0) <= 1e-6
+            assert abs(np.linalg.norm(hash_vector(text)) - 1.0) <= 1e-6
 
     def test_empty_string_is_basis_vector(self):
-        vec = hash_embed("")
+        vec = hash_vector("")
         expected = np.zeros(256)
         expected[0] = 1.0
         assert np.array_equal(vec, expected)
 
     def test_short_text_padded(self):
-        vec = hash_embed("ab")
+        vec = hash_vector("ab")
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-6
-        assert not np.array_equal(vec, hash_embed(""))
+        assert not np.array_equal(vec, hash_vector(""))
 
     def test_lowercased(self):
-        assert np.array_equal(hash_embed("Patient_Age"), hash_embed("patient_age"))
+        assert np.array_equal(hash_vector("Patient_Age"), hash_vector("patient_age"))
 
     def test_shared_trigrams_raise_similarity(self):
-        a = hash_embed("patient_age")
-        close = hash_embed("patientage")
-        far = hash_embed("zzqx")
+        a = hash_vector("patient_age")
+        close = hash_vector("patientage")
+        far = hash_vector("zzqx")
         assert _cos(a, close) > _cos(a, far)
 
     def test_dimension_respected(self):
-        assert hash_embed("abcdef", 32).shape == (32,)
+        assert hash_vector("abcdef", 32).shape == (32,)
         with pytest.raises(ValueError):
-            hash_embed("abcdef", 1)
+            EmbeddingProviderConfig(dimension=1)
 
     @given(st.text(max_size=20), st.text(max_size=20))
     def test_similarity_symmetric_and_bounded(self, s, t):
-        a, b = hash_embed(s, 64), hash_embed(t, 64)
+        a, b = hash_vector(s, 64), hash_vector(t, 64)
         sim = _cos(a, b)
         assert sim == pytest.approx(_cos(b, a))
         assert -1.0 - 1e-9 <= sim <= 1.0 + 1e-9
@@ -103,20 +103,23 @@ class TestHashProvider:
     def test_batch_equals_stacked_single_texts_bit_for_bit(self, dimension):
         texts = ["", "ab", "İ", "\U0001f600", "a\U0001f600b", "Patient_Age", "x" * 400, "ab", "ÉRIK é中"]
         batch = np.stack(HashProvider(EmbeddingProviderConfig(dimension=dimension)).embed(texts))
-        singles = np.stack([hash_embed(text, dimension) for text in texts])
-        longhand = np.stack([oracles.hash_embed_longhand(text, dimension) for text in texts])
+        singles = np.stack([hash_vector(text, dimension) for text in texts])
+        longhand = np.stack([oracles.hash_counts_longhand(text, dimension) for text in texts])
         assert batch.view(np.uint64).tolist() == singles.view(np.uint64).tolist()
         assert batch.view(np.uint64).tolist() == longhand.view(np.uint64).tolist()
 
-    @given(st.lists(st.text(max_size=12), max_size=8))
-    def test_batch_equals_longhand(self, texts):
-        batch = HashProvider(EmbeddingProviderConfig(dimension=16)).embed(texts)
+    @given(st.lists(st.text(max_size=12), max_size=8), st.integers(2, 300))
+    @example(["bb", "a\U0001f600", "cİé", "ab"], 7)
+    def test_batch_equals_longhand(self, texts, dimension):
+        batch = HashProvider(EmbeddingProviderConfig(dimension=dimension)).embed(texts)
         assert len(batch) == len(texts)
         for text, vec in zip(texts, batch):
-            assert vec.tobytes() == oracles.hash_embed_longhand(text, 16).tobytes()
+            assert vec.tobytes() == oracles.hash_counts_longhand(text, dimension).tobytes()
 
-    # texts 'bb', 'a\U0001f600' and 'cİé' sum to zero at dimension 7; at an even
-    # dimension a bucket's parity fixes its sign, so no row cancels there
+    # the signed reference takes each trigram's sign from a hash whose low bit the bucket fixes at
+    # an even dimension, so unsigned counts keep its |vector| and its cosines.  The empty text's
+    # e_0 is the one vector not made of counts: the reference's bucket 0 has sign -1, so e_0's
+    # cosines with it take the other sign.  No serialized column is empty.
     @settings(max_examples=200)
     @given(
         texts=st.lists(
@@ -127,19 +130,23 @@ class TestHashProvider:
             ),
             max_size=8,
         ),
-        dimension=st.integers(2, 300),
+        dimension=st.integers(1, 150).map(lambda half: 2 * half),
     )
     @example(texts=[], dimension=2)
     @example(texts=[""], dimension=256)
     @example(texts=["a", "ab", "İ", "\U0001f600", "\x01", "\x02\x01", "a\x01b\x02c"], dimension=256)
-    @example(texts=["bb", "a\U0001f600", "cİé", "ab"], dimension=7)
-    def test_trigram_array_equals_per_text_loop(self, texts, dimension):
+    def test_even_dimension_vectors_are_the_signed_ones_unsigned(self, texts, dimension):
         batch = HashProvider(EmbeddingProviderConfig(dimension=dimension)).embed(texts)
-        reference = oracles.hash_embed_all_per_text(texts, dimension)
-        assert [v.tobytes() for v in batch] == [v.tobytes() for v in reference]
+        batch = np.array(batch).reshape(-1, dimension)
+        signed = np.array(oracles.hash_embed_all_per_text(texts, dimension)).reshape(-1, dimension)
+        assert batch.tobytes() == np.abs(signed).tobytes()
+        counted = [i for i, text in enumerate(texts) if text]
+        batch, signed = batch[counted], signed[counted]
+        assert (batch @ batch.T).tobytes() == (signed @ signed.T).tobytes()
 
-    # the embedder takes a trigram's sign from its bucket hash's low bit: FNV-1a multiplies by
-    # an odd prime, so two hashes of the same bytes differ in the low bit as their start states do
+    # FNV-1a multiplies by an odd prime, so two hashes of the same bytes differ in the low bit as
+    # their start states do.  A sign drawn from a second hash's low bit is therefore the bucket
+    # hash's low bit, fixed by the bucket at an even dimension: why the embedder keeps no signs
     @settings(max_examples=200)
     @given(
         rows=st.lists(st.binary(max_size=12), max_size=40),
@@ -151,15 +158,21 @@ class TestHashProvider:
         low_b = fnv1a64_many(rows, b) & np.uint64(1)
         assert ((low_a ^ low_b) == np.uint64((a ^ b) & 1)).all()
 
-    def test_rows_whose_signs_cancel_become_e0(self):
-        e0 = np.zeros(7)
+    @settings(max_examples=200)
+    @given(texts=st.lists(st.text(max_size=6), max_size=8), dimension=st.integers(2, 300))
+    @example(texts=["", "a", "ab", "\x01", "bb", "a\U0001f600", "cİé"], dimension=2)
+    def test_only_the_empty_text_embeds_to_e0_at_any_dimension(self, texts, dimension):
+        e0 = np.zeros(dimension)
         e0[0] = 1.0
-        cancelled = ["bb", "a\U0001f600", "cİé"]
-        for text, vec in zip(cancelled, HashProvider(EmbeddingProviderConfig(dimension=7)).embed(cancelled)):
-            assert vec.tobytes() == e0.tobytes()
-            t = text.lower() if len(text) >= 3 else "\x01" + text.lower() + "\x02"
-            # each trigram alone embeds to +/-e_b; the text's trigrams sum to zero
-            assert not np.sum([hash_embed(t[i : i + 3], 7) for i in range(len(t) - 2)], axis=0).any()
+        for text, vec in zip(texts, HashProvider(EmbeddingProviderConfig(dimension=dimension)).embed(texts)):
+            t = text.lower()
+            t = t if len(t) >= 3 else "\x01" + t + "\x02"
+            # padding gives every text a trigram but the empty one
+            assert (len(t) == 2) == (text == "")
+            grams = [t[i : i + 3].encode("utf-8") for i in range(len(t) - 2)]
+            buckets = {oracles.fnv1a64_longhand(gram) % dimension for gram in grams}
+            # counts never cancel: a text embeds to e_0 iff it has no trigram or all fall in bucket 0
+            assert (vec.tobytes() == e0.tobytes()) == (buckets <= {0})
 
     def test_cache_round_trip(self, tmp_path):
         cache = tmp_path / "vectors.cache"
@@ -397,7 +410,7 @@ class TestRemoteProvider:
 
 
 class SpyProvider:
-    """Records every embed call; embeds with hash_embed at dimension 4."""
+    """Records every embed call; embeds with the hash provider at dimension 4."""
 
     dimension = 4
 
@@ -406,15 +419,16 @@ class SpyProvider:
 
     def embed(self, texts):
         self.calls.append(list(texts))
-        return [hash_embed(t, self.dimension) for t in texts]
+        return [hash_vector(t, self.dimension) for t in texts]
 
 
 class TestCachedProvider:
-    # the cache file the earlier per-provider cache code wrote for these texts
+    # the cache file for these texts, in the format the earlier per-provider cache code wrote;
+    # each line is keyed by VectorCache.key("hash-counts:4", text)
     FROZEN = (
-        b"1472164d7bc2e3a96bfd2b3c83a47bfa240c9da5c16d563564b2458fb9e2a127  8wQ1vwAAAAAAAAAA8wQ1Pw==\n"
-        b"63035ee0686b623463acdabeba122a4f12c34c948c01e649462a19e5880f9133  LvlkvwAAAAAAAAAALvnkPg==\n"
-        b"7bc3ecd7d78cd9550de3984e7244230f3a362b6817f0cb9b39f505d842b9c919  LvnkvgAAAAAu+WS/AAAAAA==\n"
+        b"770a930256904a07ac79a64a536fba7d9ad98d860967ef593f5785c95e7c5aba  8wQ1PwAAAAAAAAAA8wQ1Pw==\n"
+        b"d510d866c6faa5aadcec62052ef67da8d098b3edc8c0754b1824239dce04242e  LvlkPwAAAAAAAAAALvnkPg==\n"
+        b"1c0991148f9217c4092ac0d27393bc248d27944e2bd2be6e8818240c7225236b  LvnkPgAAAAAu+WQ/AAAAAA==\n"
     )
 
     def test_hits_never_reach_the_inner_provider(self, tmp_path):
@@ -433,7 +447,7 @@ class TestCachedProvider:
         out = provider.embed(["beta", "alpha", "beta", "gamma", "alpha"])
         assert spy.calls == [["beta", "alpha", "gamma"]]
         assert out[0].tobytes() == out[2].tobytes() and out[0] is not out[2]
-        rounded = hash_embed("alpha", 4).astype("<f4").astype(np.float64)
+        rounded = hash_vector("alpha", 4).astype("<f4").astype(np.float64)
         assert out[1].tobytes() == rounded.tobytes()
 
     def test_cache_file_bytes_unchanged(self, tmp_path):

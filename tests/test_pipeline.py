@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import colmatch.pipeline as pipeline
 import colmatch.retrieval as retrieval
 import colmatch.sampling as sampling
-from colmatch.embedding import PROVIDER_KINDS, EmbeddingProviderConfig, get_provider
+from colmatch.embedding import PROVIDER_KINDS, EmbeddingProviderConfig, VectorCache, get_provider
 from colmatch.finetune import ProjectionHead, save_head
 from colmatch.pipeline import PRESETS, RERANKERS, PipelineConfig, run_pipeline
 from colmatch.rerank_llm import LlmConfig, RecordingLlmClient, ReplayLlmClient, column_line
@@ -228,6 +228,25 @@ class TestRunPipeline:
             assert run(RecordingLlmClient(ScriptedLlmClient(), transcript)) == live
             assert transcript.read_bytes() == intact[:last] + intact  # torn tail cut, every exchange appended
             assert run(ReplayLlmClient(transcript)) == live
+
+    def test_a_cache_of_signed_hash_vectors_is_never_read(self, tmp_path):
+        # "hash:256" is the id the signed hash provider kept its vectors under; a wrong vector
+        # stored there for every text must not reach the unsigned provider's run
+        source, target = overlapping_tables()
+
+        def config(cache):
+            return PipelineConfig(provider=EmbeddingProviderConfig(cache_path=str(tmp_path / cache)))
+
+        cold = run_pipeline(source, target, config("cold.cache"))
+        warm = config("stale.cache")
+        stale = VectorCache(warm.provider.cache_path)
+        e1 = np.eye(256)[1]
+        for table in (source, target):
+            samples = retrieval.column_samples(table, warm.sampling)
+            for col in table.columns:
+                text = serialize(col.name, col.inferred_type, samples[col.name], warm.serialization)
+                stale.put(VectorCache.key("hash:256", text), e1)
+        assert run_pipeline(source, target, warm) == cold
 
     def test_identity_tables_all_pinned_at_rank_one(self):
         source, target = identity_tables()

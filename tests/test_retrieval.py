@@ -313,6 +313,13 @@ class TestTransientMemory:
         peak = transient_bytes(lambda: retrieve_from_vectors(*pair))
         assert peak <= 1.5 * n * m * 8  # the score matrix, plus block-sized temporaries
 
+    def test_json_writer_holds_less_than_the_file_it_writes(self, tmp_path):
+        matches = retrieve_from_vectors(*unit_vector_pair(1000, 1100), k=DEFAULT_K)
+        assert len(matches.target) >= 20_000
+        path = tmp_path / "matches.json"
+        peak = transient_bytes(lambda: write_match_json(matches, path))
+        assert peak < path.stat().st_size  # entries are written one at a time, never joined
+
 
 def _json_dump_reference(matches, path):
     with open(path, "w", encoding="utf-8") as fh:
